@@ -2,7 +2,8 @@
 drivers to config files, seeds, and CSV/JSON outputs.
 
 Exit codes: 0 success, 2 config error, 3 enumeration budget exceeded,
-4 conjecture-violation finding.
+4 conjecture-violation finding, 5 internal error (a witness or certificate
+failed re-verification, or a numerical failure).
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def _cmd_erasure(cfg: RunConfig) -> int:
     rho = load_state(cfg.state, cfg.n, cfg.seed)
     gs = _gate_set(cfg)
     model = thermo.ThermalModel.degenerate(rho.n)
-    res = thermo.erasure_search(rho, model, gs, cfg.r, cfg.eta, threads=cfg.threads)
+    res = thermo.erasure_search(rho, model, gs, cfg.r, cfg.eta)
     scale = _unit_factor(cfg.units)
     print(f"beta*W = {canonical_value(res.beta_work * scale)} {cfg.units}")
     rows = [{
@@ -307,7 +308,7 @@ def _cmd_erasure(cfg: RunConfig) -> int:
 def _cmd_compress(cfg: RunConfig) -> int:
     rho = load_state(cfg.state, cfg.n, cfg.seed)
     gs = _gate_set(cfg)
-    res = thermo.compression_search(rho, gs, cfg.r, cfg.epsilon, threads=cfg.threads)
+    res = thermo.compression_search(rho, gs, cfg.r, cfg.epsilon)
     print(f"m_opt = {res.m} qubits (success {canonical_value(res.success_probability)})")
     rows = [{
         "m": res.m,
@@ -468,6 +469,9 @@ def dispatch(argv: list[str]) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except (AssertionError, ArithmeticError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from .gates import (
     simple_effect_from_bits,
 )
 from .registers import DensityOperator, HermitianOperator, PovmEffect, partial_trace
-from .search import candidate_circuit, minimize_over_effects
+from .search import minimize_over_effects
 
 FEASIBILITY_SLACK = 1e-12
 WITNESS_SLACK = 1e-10
@@ -107,39 +107,30 @@ def _enumeration_estimate(
     eta: float,
     reduced: bool,
     budget: int | None,
-    threads: int,
 ) -> EntropyEstimate:
     n = rho.n
     eta_eff = eta - FEASIBILITY_SLACK
     scalar = _is_scalar_identity(gamma.matrix) if gate_set.is_unitary_only else None
     mats = [rho.matrix] if scalar is not None else [rho.matrix, gamma.matrix]
     id_traces = mask_traces_identity(n)
-    lam_max_rho = float(np.linalg.eigvalsh(rho.matrix).max())
-    lam_min_gamma = float(max(np.linalg.eigvalsh(gamma.matrix).min(), 0.0))
-    if reduced:
-        floor = lam_min_gamma * eta_eff / max(lam_max_rho, 1e-300)
-    else:
-        floor = lam_min_gamma / max(lam_max_rho, 1e-300)
 
-    def score(traces):
+    def score(traces, masks):
         rho_tr = traces[0]
-        gamma_tr = scalar * id_traces if scalar is not None else traces[1]
-        feasible = rho_tr >= eta_eff
-        if reduced:
-            raw = gamma_tr
-        else:
-            raw = gamma_tr / np.maximum(rho_tr, 1e-300)
-        return np.where(feasible, raw, math.inf)
+        gamma_tr = scalar * id_traces[masks] if scalar is not None else traces[1]
+        raw = gamma_tr if reduced else gamma_tr / np.maximum(rho_tr, 1e-300)
+        return np.where(rho_tr >= eta_eff, raw, math.inf)
 
-    best = minimize_over_effects(
-        gate_set, n, r, mats, score,
-        budget=budget, threads=threads, early_stop=floor * (1.0 + 1e-12),
-    )
-    circuit = candidate_circuit(gate_set, n, best.ops)
-    witness = pullback_effect(circuit, simple_effect_from_bits(n, best.mask_bits))
+    best = minimize_over_effects(gate_set, n, r, mats, score, budget=budget)
+    witness = pullback_effect(best.circuit, simple_effect_from_bits(n, best.mask_bits))
     _verify_witness(witness, rho, eta)
     value = math.inf if best.value <= 0.0 else -math.log(best.value)
-    solver = {"method": "enumeration", "circuits": best.circuits_visited, "r": r}
+    solver = {
+        "method": "enumeration",
+        "r": r,
+        "effects": best.effects,
+        "candidates": best.candidates,
+        "cache_hit": best.cache_hit,
+    }
     return EntropyEstimate(value, "exact", witness, solver)
 
 
@@ -163,13 +154,14 @@ def cx_relative_entropy(
     Normalized form: -log inf tr(Q Gamma)/tr(Q rho); with `reduced=True` the
     normalization is dropped: -log inf tr(Q Gamma), both over Q in M_r with
     tr(Q rho) >= eta.  The identity effect is always in M_0, so the candidate
-    set is never empty for eta <= tr(rho).
+    set is never empty for eta <= tr(rho).  `threads` parallelizes the
+    heuristic's restarts; enumeration runs in the calling thread.
     """
     _check_args(rho, gamma, r, eta)
     if solver == "auto":
         solver = "enumeration" if gate_set.kind == "finite" else "heuristic"
     if solver == "enumeration":
-        return _enumeration_estimate(rho, gamma, gate_set, r, eta, reduced, budget, threads)
+        return _enumeration_estimate(rho, gamma, gate_set, r, eta, reduced, budget)
     if solver != "heuristic":
         raise ValueError(f"unknown solver {solver!r}")
 
@@ -245,7 +237,6 @@ def success_probability(
     m: float,
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> float:
     """Best acceptance probability over effects in M_r with log2 tr(Q) pinned
     to floor(m / log 2)."""
@@ -257,12 +248,12 @@ def success_probability(
     mats = [rho.matrix] if unital else [rho.matrix, np.eye(2 ** n, dtype=complex)]
     id_traces = mask_traces_identity(n)
 
-    def score(traces):
-        q_tr = id_traces if unital else traces[1]
+    def score(traces, masks):
+        q_tr = id_traces[masks] if unital else traces[1]
         ok = np.abs(np.log2(np.maximum(q_tr, 1e-300)) - w) <= 1e-9
         return np.where(ok, -traces[0], math.inf)
 
-    best = minimize_over_effects(gate_set, n, r, mats, score, budget=budget, threads=threads)
+    best = minimize_over_effects(gate_set, n, r, mats, score, budget=budget)
     if not math.isfinite(best.value):
         raise ValueError("empty candidate class at the requested size")
     return -best.value
@@ -275,18 +266,16 @@ def distinguishability_beta(
     r: int,
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> float:
     """beta^r(rho, sigma) = max over M_r of |tr(Q (rho - sigma))|."""
     if rho.register.labels != sigma.register.labels:
         raise ValueError("states must share a register")
 
-    def score(traces):
-        return -np.abs(traces[0] - traces[1])
+    def score(traces, masks):
+        return -np.abs(traces[0])
 
     best = minimize_over_effects(
-        gate_set, rho.n, r, [rho.matrix, sigma.matrix], score,
-        budget=budget, threads=threads,
+        gate_set, rho.n, r, [rho.matrix - sigma.matrix], score, budget=budget
     )
     return -best.value
 
@@ -319,16 +308,6 @@ def hypothesis_test_witness(
     if abs(q * accept - eta) > 1e-10 or false_accept > delta + 1e-10:
         raise AssertionError("witness failed numerical re-verification")
     return q_effect, q
-
-
-def sandwich_bounds(
-    rho: DensityOperator, gate_set: GateSet, r: int, eta: float, **kwargs
-) -> tuple[float, float]:
-    """(H_hyp^eta(rho), H_H^{r,eta}(rho)) -- the unrestricted entropy never
-    exceeds the complexity entropy."""
-    lower = hyp_entropy_value(rho, eta)
-    upper = cx_entropy(rho, gate_set, r, eta, **kwargs).value
-    return lower, upper
 
 
 def hyp_entropy_value(rho: DensityOperator, eta: float) -> float:

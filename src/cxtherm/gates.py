@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -112,14 +114,26 @@ class GateSet:
             raise ValueError(f"unknown connectivity {self.connectivity!r}")
 
     @property
-    def includes_identity(self) -> bool:
-        return True
-
-    @property
     def is_unitary_only(self) -> bool:
         return all(g.is_unitary for g in self.gates) and all(
             g.is_unitary for g, _ in self.placed_extra
         )
+
+
+def gate_set_key(gate_set: GateSet) -> tuple:
+    """Content key of a gate set: kind, connectivity, and every gate's name
+    and matrices.  Names count because witness circuits print them."""
+
+    def gate_key(gate: Gate) -> tuple[str, bytes]:
+        mats = (gate.unitary,) if gate.is_unitary else gate.kraus
+        return gate.name, b"".join(m.tobytes() for m in mats)
+
+    return (
+        gate_set.kind,
+        gate_set.connectivity,
+        tuple(gate_key(g) for g in gate_set.gates),
+        tuple((gate_key(g), e) for g, e in gate_set.placed_extra),
+    )
 
 
 def edges(connectivity: str, n: int) -> list[tuple[int, int]]:
@@ -194,7 +208,7 @@ def expand_two_qubit(mat4: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
 class PlacedGate:
     """A gate bound to an edge of an n-qubit register, with cached embeddings."""
 
-    __slots__ = ("gate", "edge", "n", "unitary_full", "kraus_full", "superop")
+    __slots__ = ("gate", "edge", "n", "unitary_full", "kraus_full")
 
     def __init__(self, gate: Gate, edge: tuple[int, int], n: int):
         self.gate = gate
@@ -206,7 +220,6 @@ class PlacedGate:
         else:
             self.unitary_full = None
             self.kraus_full = tuple(expand_two_qubit(k, n, *self.edge) for k in gate.kraus)
-        self.superop = None  # built on demand
 
     def apply_matrix(self, sigma: np.ndarray) -> np.ndarray:
         if self.unitary_full is not None:
@@ -232,26 +245,46 @@ class PlacedGate:
             out = term if out is None else out + term
         return out
 
-    def superoperator(self) -> np.ndarray:
-        # row-major vec convention: vec(K rho K^dag) = (K (x) conj(K)) vec(rho)
-        if self.superop is None:
-            s = sum(np.kron(k, k.conj()) for k in self.kraus_full)
-            self.superop = np.ascontiguousarray(s)
-        return self.superop
-
     def matrix_key(self) -> bytes:
         mats = self.kraus_full if self.unitary_full is None else (self.unitary_full,)
         return b"".join(np.round(m, MATRIX_HASH_DECIMALS).tobytes() for m in mats)
 
 
-def placed_alphabet(gate_set: GateSet, n: int) -> list[PlacedGate]:
+class BoundedCache:
+    """A lock-guarded map that keeps its `maxsize` most recently used entries;
+    a missing entry is built once, under the lock."""
+
+    def __init__(self, maxsize: int = 16):
+        self.maxsize = maxsize
+        self._data: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+                return self._data[key]
+            value = self._data[key] = build()
+            if len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+            return value
+
+
+_ALPHABETS = BoundedCache()
+
+
+def placed_alphabet(gate_set: GateSet, n: int) -> tuple[PlacedGate, ...]:
     """All distinct placed gates on the connectivity graph, identity excluded.
 
     Gates whose full-register action coincides (e.g. H (x) I on edges (0,1)
-    and (0,2)) are deduplicated.
+    and (0,2)) are deduplicated.  Cached per gate-set content and n.
     """
     if gate_set.kind != "finite":
         raise ValueError("placed alphabet requires a finite gate set")
+    return _ALPHABETS.get((gate_set_key(gate_set), n), lambda: _place(gate_set, n))
+
+
+def _place(gate_set: GateSet, n: int) -> tuple[PlacedGate, ...]:
     out: list[PlacedGate] = []
     seen: set[bytes] = set()
     pairs = list(edges(gate_set.connectivity, n))
@@ -272,7 +305,7 @@ def placed_alphabet(gate_set: GateSet, n: int) -> list[PlacedGate]:
         if key not in seen:
             seen.add(key)
             out.append(pg)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -458,34 +491,26 @@ def enumerate_effects(
     r: int,
     n: int,
     budget: int | None = None,
-    dedup: bool = True,
 ) -> Iterator[PovmEffect]:
-    """All effects in M_r = {pullbacks of simple effects through <= r gates}.
+    """All effects in M_r = {pullbacks of simple effects through <= r gates},
+    each with the circuit and simple effect that first reached it.
 
-    Deduplication hashes matrices rounded to 1e-10; it affects only the number
-    of items yielded, never the set realized.
+    Effects equal after rounding to 1e-10 are yielded once (once per mask for
+    channel gate sets); this affects only the number of items yielded, never
+    the set realized.
     """
+    from .search import check_budget, effect_set, unpack  # search builds on this module
+
     if r < 0:
         raise ValueError("r must be >= 0")
     if gate_set.kind != "finite":
         raise ValueError("exact enumeration requires a finite gate set")
-    seen: set[bytes] = set()
-    simple = list(iter_simple_effects(n))
-    for circuit in iter_circuits(gate_set, n, r, budget=budget):
-        placed = circuit.placed()
-        pulled: list[np.ndarray] = []
-        for eff in simple:
-            p = eff.matrix()
-            for pg in reversed(placed):
-                p = pg.pullback(p)
-            pulled.append(p)
-        for eff, p in zip(simple, pulled):
-            if dedup:
-                key = np.round(p, MATRIX_HASH_DECIMALS).tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield PovmEffect(register(n), p, provenance=(circuit, eff))
+    effects = effect_set(gate_set, n)
+    check_budget(len(effects.alphabet), r, budget)
+    rows, masks, _ = effects.upto(r)
+    for i in range(len(rows)):
+        provenance = (effects.circuit(i), simple_effect_from_bits(n, int(masks[i])))
+        yield PovmEffect(register(n), unpack(rows[i], 2 ** n), provenance=provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def run_selftest(seed: int = 0, threads: int = 1) -> list[str]:
     for t in range(3):
         state = sample_density(2, 2, seed, 400 + t)
         model = ThermalModel.degenerate(2)
-        res_e = erasure_search(state, model, gs, 1, 0.9, threads=threads)
+        res_e = erasure_search(state, model, gs, 1, 0.9)
         red = cx_entropy(state, gs, 1, 0.9, reduced=True, threads=threads)
         worst_eq = max(worst_eq, abs(res_e.beta_work - red.value))
     check("erasure-reduced-entropy", worst_eq < 1e-9, worst_eq)

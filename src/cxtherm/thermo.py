@@ -28,7 +28,7 @@ from .gates import (
     unitary_gate,
 )
 from .registers import DensityOperator, partial_trace_matrix, register
-from .search import candidate_circuit, minimize_over_effects
+from .search import minimize_over_effects
 
 LOG2 = math.log(2.0)
 
@@ -236,7 +236,6 @@ def erasure_search(
     eta: float,
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> ErasureResult:
     """Minimal-work protocol of <= r computations followed by RESETs reaching
     <0^n| rho' |0^n> >= eta.  Exhaustive over the finite gate set."""
@@ -258,18 +257,14 @@ def erasure_search(
         work[m] = w
     eta_eff = eta - 1e-12
 
-    def score(traces):
-        return np.where(traces[0] >= eta_eff, work, math.inf)
+    def score(traces, masks):
+        return np.where(traces[0] >= eta_eff, work[masks], math.inf)
 
-    best = minimize_over_effects(
-        gate_set, n, r, [rho.matrix], score,
-        budget=budget, threads=threads, early_stop=0.0,
-    )
+    best = minimize_over_effects(gate_set, n, r, [rho.matrix], score, budget=budget)
     if not math.isfinite(best.value):
         raise ValueError("no protocol reaches the requested success probability")
-    circuit = candidate_circuit(gate_set, n, best.ops)
     reset_set = tuple(i for i in range(n) if not (best.mask_bits >> (n - 1 - i)) & 1)
-    steps: list[Step] = [GateStep(g, e) for g, e in circuit.ops]
+    steps: list[Step] = [GateStep(g, e) for g, e in best.circuit.ops]
     steps.extend(Reset(i) for i in reset_set)
     protocol = Protocol(n, tuple(steps))
     final, ledger = run_protocol(protocol, rho, model)
@@ -354,18 +349,6 @@ def lifted_input(rho: DensityOperator, lift: LiftedProtocol) -> DensityOperator:
     return DensityOperator(register(lift.protocol.n), sigma)
 
 
-def analysis_state(rho: DensityOperator, lift: LiftedProtocol) -> DensityOperator:
-    """State rho (x) |0^m1> (x) gamma^m2 seen just after the leading EXTRACTs;
-    the complexity entropy of this state enters the general work bound."""
-    sigma = rho.matrix
-    ket0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    for _ in range(lift.m1):
-        sigma = np.kron(sigma, ket0)
-    for j in range(lift.m2):
-        sigma = np.kron(sigma, lift.model.thermal_qubit(lift.original_n + lift.m1 + j))
-    return DensityOperator(register(lift.protocol.n), sigma)
-
-
 # ---------------------------------------------------------------------------
 # lower bound on general-protocol work
 
@@ -429,7 +412,6 @@ def compression_search(
     eps: float,
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> CompressionResult:
     """Least m such that some <= r-gate unitary compresses rho onto m qubits
     with fidelity^2 >= 1 - eps; exhaustive, so exact."""
@@ -439,16 +421,13 @@ def compression_search(
         raise ValueError("compression is defined for unitary computations")
     n = rho.n
     target = 1.0 - eps - 1e-12
-    kept = np.round(np.log2(mask_traces_identity(n))).astype(int)  # |W| per mask
+    kept = np.round(np.log2(mask_traces_identity(n)))  # |W| per mask
 
-    def score(traces):
-        return np.where(traces[0] >= target, kept.astype(float), math.inf)
+    def score(traces, masks):
+        return np.where(traces[0] >= target, kept[masks], math.inf)
 
-    best = minimize_over_effects(
-        gate_set, n, r, [rho.matrix], score,
-        budget=budget, threads=threads, early_stop=0.0,
-    )
-    circuit = candidate_circuit(gate_set, n, best.ops)
+    best = minimize_over_effects(gate_set, n, r, [rho.matrix], score, budget=budget)
+    circuit = best.circuit
     kept_qubits = tuple(i for i in range(n) if not (best.mask_bits >> (n - 1 - i)) & 1)
     sigma = rho.matrix
     for pg in circuit.placed():

@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 
+from cxtherm.gates import MATRIX_HASH_DECIMALS, iter_circuits, iter_simple_effects
+from cxtherm.registers import PovmEffect, register
+
 
 def diagonal_hyp_oracle(rho_diag, gamma_diag, eta, steps=200):
     """Grid scan over diagonal effects for min tr(Q Gamma)/eta subject to
@@ -181,3 +184,31 @@ def brute_force_protocol_work(rho_mat, n, gate_list, eta, max_ops, log_z,
             if legal and float(sigma[0, 0].real) >= eta - 1e-12:
                 best = min(best, work)
     return best
+
+
+def dfs_enumerate_effects(gate_set, r, n, budget=None, dedup=True):
+    """M_r by depth-first search over every circuit of at most r gates, each
+    simple effect pulled back gate by gate.  With dedup=False every
+    (circuit, mask) pair is yielded.  Deduplication hashes matrices rounded
+    to 1e-10; it affects only the number of items yielded, never the set."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if gate_set.kind != "finite":
+        raise ValueError("exact enumeration requires a finite gate set")
+    seen = set()
+    simple = list(iter_simple_effects(n))
+    for circuit in iter_circuits(gate_set, n, r, budget=budget):
+        placed = circuit.placed()
+        pulled = []
+        for eff in simple:
+            p = eff.matrix()
+            for pg in reversed(placed):
+                p = pg.pullback(p)
+            pulled.append(p)
+        for eff, p in zip(simple, pulled):
+            if dedup:
+                key = np.round(p, MATRIX_HASH_DECIMALS).tobytes()
+                if key in seen:
+                    continue
+                seen.add(key)
+            yield PovmEffect(register(n), p, provenance=(circuit, eff))

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cxtherm.cli import load_state, load_state_file, save_state_file
+from cxtherm import cxentropy
+from cxtherm.cli import dispatch, load_state, load_state_file, save_state_file
 from cxtherm.errors import ConfigError
 from cxtherm.registers import ghz_state, maximally_mixed, zero_state
 from cxtherm.reporting import config_hash, write_csv, write_json
@@ -93,6 +94,15 @@ class TestDispatch:
         res = run_cli(["cx-entropy", "--state", "ghz3", "--r", "3",
                        "--eta", "0.999"], tmp_path, CXTHERM_BUDGET="50")
         assert res.returncode == 3
+
+    def test_failed_witness_exit_5(self, monkeypatch, capsys):
+        def fail(effect, rho, eta):
+            raise AssertionError("witness infeasible")
+
+        monkeypatch.setattr(cxentropy, "_verify_witness", fail)
+        assert dispatch(["cx-entropy", "--state", "ghz2", "--r", "1"]) == 5
+        err = capsys.readouterr().err
+        assert "internal error" in err and "config error" not in err
 
     def test_probe_conjecture_exit_codes(self, tmp_path, run_cli):
         res = run_cli(["probe-conjecture", "--samples", "5", "--r", "1",

@@ -15,7 +15,7 @@ from cxtherm.cxentropy import (
     success_probability,
 )
 from cxtherm.entropies import hyp_relative_entropy
-from cxtherm.gates import continuous_su4_gate_set, default_gate_set, enumerate_effects
+from cxtherm.gates import continuous_su4_gate_set, default_gate_set
 from cxtherm.registers import (
     DensityOperator,
     HermitianOperator,
@@ -30,6 +30,8 @@ from cxtherm.registers import (
 )
 from cxtherm.sampling import random_density_matrix, sample_pure_state, task_rng
 
+from oracles import dfs_enumerate_effects
+
 LOG2 = math.log(2.0)
 
 
@@ -40,9 +42,9 @@ def rand_state(n, seed, rank=None):
 
 
 def brute_force_reduced(rho, gate_set, r, eta):
-    """Second route: materialize M_r via enumerate_effects and scan."""
+    """Second route: materialize M_r by the depth-first oracle and scan."""
     best = math.inf
-    for eff in enumerate_effects(gate_set, r, rho.n):
+    for eff in dfs_enumerate_effects(gate_set, r, rho.n):
         if np.trace(eff.matrix @ rho.matrix).real >= eta - 1e-12:
             best = min(best, np.trace(eff.matrix).real)
     return math.log(best)
