@@ -29,7 +29,6 @@ from .gates import (
     apply_circuit,
     approx_state_complexity,
     circuit_complexity,
-    compose_unitary,
     default_gate_set,
     entangling_power,
     enumerate_effects,

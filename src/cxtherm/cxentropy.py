@@ -116,8 +116,13 @@ def _enumeration_estimate(
 
     def score(traces, masks):
         rho_tr = traces[0]
-        gamma_tr = scalar * id_traces[masks] if scalar is not None else traces[1]
-        raw = gamma_tr if reduced else gamma_tr / np.maximum(rho_tr, 1e-300)
+        if scalar is not None:
+            # 0 <= Q <= I and a density operator give tr(Q rho) <= tr Q exactly,
+            # so the ratio takes the smaller and rounding cannot push it below c
+            gamma_tr, accept = scalar * id_traces[masks], np.minimum(rho_tr, id_traces[masks])
+        else:
+            gamma_tr, accept = traces[1], rho_tr
+        raw = gamma_tr if reduced else gamma_tr / np.maximum(accept, 1e-300)
         return np.where(rho_tr >= eta_eff, raw, math.inf)
 
     best = minimize_over_effects(gate_set, n, r, mats, score, budget=budget)

@@ -144,13 +144,17 @@ def _neyman_pearson(rho: np.ndarray, gamma: np.ndarray, eta: float):
         tau = eigenvalue_padding(rho, gamma, mu)
         return mu - np.maximum(w + tau, 0.0).sum() / eta
 
-    # eta == tr(rho): the constraint pins Q to the support projector of rho.
+    # eta == tr(rho): the constraint pins Q to the support projector of rho,
+    # and mu* is infinite.  Weak duality holds at every finite mu >= 0, so the
+    # best padded dual on a geometric ladder of mu certifies the primal.
     if eta >= tr_rho * (1.0 - 1e-13):
         w, v = np.linalg.eigh(rho)
         keep = w > _SUPPORT_RTOL * max(w.max(), 1e-300)
         q = v[:, keep] @ v[:, keep].conj().T
         beta = float(np.trace(q @ gamma).real) / eta
-        return beta, beta, q, math.inf
+        scale = max(float(np.linalg.norm(gamma, 2)), 1e-300) / float(w[keep].min())
+        dual = max(dual_at(scale * 10.0 ** k) for k in range(10))
+        return beta, max(dual, 0.0), q, math.inf
 
     # rho mass on ker(Gamma) already covers eta: type-II error is zero.
     wg, vg = np.linalg.eigh(gamma)

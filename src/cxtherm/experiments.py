@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -477,7 +477,3 @@ def decoupling_simulate(
     ).value
     bound_k = 0.5 * (n_a - h_cond / LOG2 + math.log2(delta / eta))
     return DecouplingResult(success, est.value, threshold, bound_k)
-
-
-def transition_rows_to_dicts(rows: list[TransitionRow]) -> list[dict]:
-    return [asdict(r) for r in rows]

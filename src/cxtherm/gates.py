@@ -19,7 +19,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .registers import DensityOperator, PovmEffect, register
 
 DEFAULT_BUDGET = 10 ** 7
@@ -326,10 +325,6 @@ class Circuit:
     def placed(self) -> list[PlacedGate]:
         return [PlacedGate(g, e, self.n) for g, e in self.ops]
 
-    @property
-    def is_unitary(self) -> bool:
-        return all(g.is_unitary for g, _ in self.ops)
-
 
 def apply_circuit(circuit: Circuit, rho: DensityOperator) -> DensityOperator:
     if rho.register.n != circuit.n:
@@ -338,16 +333,6 @@ def apply_circuit(circuit: Circuit, rho: DensityOperator) -> DensityOperator:
     for pg in circuit.placed():
         sigma = pg.apply_matrix(sigma)
     return DensityOperator(rho.register, sigma)
-
-
-def compose_unitary(circuit: Circuit) -> np.ndarray:
-    """Full-register unitary of a unitary circuit, gates applied left to right."""
-    if not circuit.is_unitary:
-        raise ValueError("circuit contains non-unitary operations")
-    u = np.eye(2 ** circuit.n, dtype=complex)
-    for pg in circuit.placed():
-        u = pg.unitary_full @ u
-    return u
 
 
 @dataclass(frozen=True)
@@ -367,9 +352,6 @@ class SimpleEffect:
     def matrix(self) -> np.ndarray:
         diag = mask_matrix(self.n)[mask_bits(self.mask)]
         return np.diag(diag.astype(complex))
-
-    def as_effect(self) -> PovmEffect:
-        return PovmEffect(register(self.n), self.matrix())
 
 
 def mask_bits(mask: Sequence[bool]) -> int:
@@ -445,47 +427,6 @@ def inverse_circuit(circuit: Circuit, gate_set: GateSet | None = None) -> Circui
 # exhaustive enumeration of complexity-restricted effects
 
 
-def iter_circuits(
-    gate_set: GateSet,
-    n: int,
-    r: int,
-    budget: int | None = None,
-    shard: tuple[int, int] | None = None,
-) -> Iterator[Circuit]:
-    """Every circuit of at most r placed gates, in lexicographic order.
-
-    With the identity in the alphabet, length <= r is equivalent to exactly-r
-    compositions, so identity padding is never emitted.  `shard = (k, K)`
-    restricts to first gates with index = k mod K (the empty circuit belongs
-    to shard 0), enabling order-independent parallel reduction.
-    """
-    alphabet = placed_alphabet(gate_set, n)
-    cap = enumeration_budget(budget)
-    count = 0
-
-    def emit(ops_idx: tuple[int, ...]) -> Circuit:
-        return Circuit(n, tuple((alphabet[i].gate, alphabet[i].edge) for i in ops_idx))
-
-    stack: list[tuple[tuple[int, ...]]] = []
-    if shard is None or shard[0] == 0:
-        yield emit(())
-    count += 1
-    first = range(len(alphabet)) if shard is None else range(shard[0], len(alphabet), shard[1])
-    if r <= 0:
-        return
-    for f in first:
-        stack.append((f,))
-        while stack:
-            ops = stack.pop()
-            count += 1
-            if count > cap:
-                raise BudgetExceededError(count, cap)
-            yield emit(ops)
-            if len(ops) < r:
-                for i in reversed(range(len(alphabet))):
-                    stack.append(ops + (i,))
-
-
 def enumerate_effects(
     gate_set: GateSet,
     r: int,
@@ -517,47 +458,33 @@ def enumerate_effects(
 # complexity measures
 
 
+def _real_rows(z: np.ndarray) -> np.ndarray:
+    """A stack of complex arrays as real rows, the form a ReachableSet stores."""
+    return np.ascontiguousarray(z).reshape(len(z), -1).view(float)
+
+
 def circuit_complexity(
     gate_set: GateSet, target: np.ndarray, r_max: int, n: int | None = None
 ) -> int | float:
     """Least number of placed gates composing to `target` within 1e-8 in
     operator norm; math.inf when r_max is exhausted."""
+    from .search import ReachableSet, least_level  # search builds on this module
+
     target = np.asarray(target, dtype=complex)
     d = target.shape[0]
     n = n if n is not None else int(round(math.log2(d)))
     alphabet = placed_alphabet(gate_set, n)
-    if any(pg.unitary_full is None for pg in alphabet):
+    if not all(pg.gate.is_unitary for pg in alphabet):
         raise ValueError("circuit complexity is defined for unitary gate sets")
 
-    def matches(u):
-        return np.linalg.norm(u - target, ord=2) <= 1e-8
+    def left_multiply(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
+        return _real_rows(pg.apply_vector(rows.view(complex).reshape(-1, d, d)))
 
-    frontier = [np.eye(d, dtype=complex)]
-    seen = {np.round(frontier[0], MATRIX_HASH_DECIMALS).tobytes()}
-    if matches(frontier[0]):
-        return 0
-    for level in range(1, r_max + 1):
-        nxt = []
-        for u in frontier:
-            for pg in alphabet:
-                v = pg.unitary_full @ u
-                key = np.round(v, MATRIX_HASH_DECIMALS).tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                if matches(v):
-                    return level
-                nxt.append(v)
-        frontier = nxt
-        if not frontier:
-            break
-    return math.inf
+    def matches(rows: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(rows.view(complex).reshape(-1, d, d) - target, ord=2, axis=(1, 2)) <= 1e-8
 
-
-def _phase_canonical(vec: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(vec) > 1e-12))
-    ph = vec[idx] / abs(vec[idx])
-    return vec / ph
+    identity = _real_rows(np.eye(d, dtype=complex)[None])
+    return least_level(ReachableSet(alphabet, n, identity, left_multiply), r_max, matches)
 
 
 def approx_state_complexity(
@@ -565,6 +492,8 @@ def approx_state_complexity(
 ) -> int | float:
     """Least gate count preparing a state within trace distance eps of psi,
     starting from |0^n>; math.inf when r_max is exhausted."""
+    from .search import ReachableSet, least_level  # search builds on this module
+
     if isinstance(psi, DensityOperator):
         w, v = np.linalg.eigh(psi.matrix)
         if w[-1] < 1.0 - 1e-9:
@@ -576,37 +505,23 @@ def approx_state_complexity(
     d = target.size
     n = int(round(math.log2(d)))
     alphabet = placed_alphabet(gate_set, n)
-    if any(pg.unitary_full is None for pg in alphabet):
+    if not all(pg.gate.is_unitary for pg in alphabet):
         raise ValueError("state complexity is defined for unitary gate sets")
 
-    def close(vec):
+    def prepare(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
+        # the global phase is fixed by making the first nonzero amplitude real
+        vecs = pg.apply_vector(rows.view(complex).T).T
+        lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs) > 1e-12, axis=1)]
+        return _real_rows(vecs / (lead / np.abs(lead))[:, None])
+
+    def close(rows: np.ndarray) -> np.ndarray:
         # trace distance between pure states; near zero it carries
         # sqrt(machine-eps) noise, so the slack sits at 1e-7, not finer
-        overlap = abs(np.vdot(target, vec)) ** 2
-        return math.sqrt(max(0.0, 1.0 - overlap)) <= eps + 1e-7
+        overlap = np.abs(rows.view(complex) @ target.conj()) ** 2
+        return np.sqrt(np.maximum(0.0, 1.0 - overlap)) <= eps + 1e-7
 
-    start = np.zeros(d, dtype=complex)
-    start[0] = 1.0
-    if close(start):
-        return 0
-    frontier = [start]
-    seen = {np.round(_phase_canonical(start), MATRIX_HASH_DECIMALS).tobytes()}
-    for level in range(1, r_max + 1):
-        nxt = []
-        for vec in frontier:
-            for pg in alphabet:
-                w = pg.apply_vector(vec)
-                key = np.round(_phase_canonical(w), MATRIX_HASH_DECIMALS).tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                if close(w):
-                    return level
-                nxt.append(w)
-        frontier = nxt
-        if not frontier:
-            break
-    return math.inf
+    zero = _real_rows(np.eye(1, d, dtype=complex))
+    return least_level(ReachableSet(alphabet, n, zero, prepare), r_max, close)
 
 
 # ---------------------------------------------------------------------------

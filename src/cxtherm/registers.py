@@ -243,7 +243,3 @@ def ghz_state(n: int) -> DensityOperator:
 def maximally_mixed(n: int) -> DensityOperator:
     d = 2 ** n
     return DensityOperator(register(n), np.eye(d) / d)
-
-
-def identity_operator(n: int) -> HermitianOperator:
-    return HermitianOperator(register(n), np.eye(2 ** n))

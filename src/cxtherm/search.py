@@ -1,13 +1,22 @@
-"""Exact minimization over complexity-restricted effect sets.
+"""What placed gates reach, level by level, and exact minimization over
+complexity-restricted effect sets.
 
-Every exact solver in this package minimizes a score over M_r, the effects
+`ReachableSet` is the package's one growth loop: the chain R_0 <= R_1 <= ...
+grown from start rows as R_k = R_{k-1} u {step(g, x) : x in R_{k-1}, g in the
+alphabet} and deduplicated on entries rounded to 1e-10.  Complex rows are
+stored as real views, so one rounding rule, index and provenance serve
+effects (`effect_set`: simple projectors pulled back, Q -> E^dag(Q), as packed
+Hermitian rows), unitaries (`gates.circuit_complexity`: the identity,
+V -> U V) and states (`gates.approx_state_complexity`: |0^n>, psi -> U psi
+with its global phase fixed).  `least_level` finds the first level holding a
+row with a given property.
+
+Every exact solver minimizes a score over M_r, the effects
 Q = E_1^dag ... E_k^dag(P) that k <= r placed gates pull back from a simple
-projector P.  `EffectSet` holds the chain M_0 <= M_1 <= ... of one gate set on
-n qubits, grown level by level as M_k = M_{k-1} u {E^dag(Q) : Q in M_{k-1}}
-and deduplicated on entries rounded to 1e-10.  The key is Q alone for unitary
-gate sets, where every mask-dependent score in this package (tr P, the RESET
-work) is fixed by Q, and (Q, mask) for channel sets, so that a score may read
-the mask freely there.  One EffectSet is cached per (gate-set content, n).
+projector P.  Effects are keyed on Q alone for unitary gate sets, where every
+mask-dependent score in this package (tr P, the RESET work) is fixed by Q,
+and on (Q, mask) for channel sets, so that a score may read the mask freely
+there.  One effect set is cached per (gate-set content, n).
 
 A query at r splits off the first gate, tr(E^dag(Q) X) = tr(Q E(X)): every
 operator X is pushed through the identity and each placed gate, and one
@@ -41,7 +50,7 @@ from .gates import (
 
 ScoreFn = Callable[[list[np.ndarray], np.ndarray], np.ndarray]
 
-# rows per batch when M_k is grown and when a query is scored; both bound the
+# rows per batch when R_k is grown and when a query is scored; both bound the
 # transient memory
 CHUNK_ROWS = 32
 QUERY_ROWS = 256
@@ -111,27 +120,32 @@ def _rounded(rows: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the effect-set chain
+# the reachable-set chain
+
+Step = Callable[[PlacedGate, np.ndarray], np.ndarray]
 
 
-class EffectSet:
-    """The chain M_0 <= M_1 <= ... of one gate set on n qubits, grown on demand.
+class ReachableSet:
+    """The chain R_0 <= R_1 <= ... of one alphabet on n qubits, grown on demand.
 
-    rows[:ends[k]] packs M_k.  Row i was found as E^dag(rows[parents[i]]) for
-    the placed gate alphabet[gates[i]]; level-0 rows (parent -1) are the simple
-    projectors, and every row carries the mask of its level-0 root.
+    rows[:ends[k]] holds R_k.  Row i was found as step(alphabet[gates[i]],
+    rows[parents[i]]); level-0 rows (parent -1) are the start rows, and every
+    row carries the index of its level-0 root in `masks` (for effects, the
+    mask of its simple projector).  With `keyed_by_mask`, equal rows with
+    different roots are kept apart.
     """
 
-    def __init__(self, alphabet: tuple[PlacedGate, ...], n: int, keyed_by_mask: bool):
+    def __init__(self, alphabet: tuple[PlacedGate, ...], n: int, start: np.ndarray, step: Step,
+                 keyed_by_mask: bool = False):
         self.alphabet = alphabet
         self.n = n
+        self.step = step
         self.keyed_by_mask = keyed_by_mask
-        d = 2 ** n
-        self.rows = pack(mask_matrix(n)[:, :, None] * np.eye(d))
-        self.masks = np.arange(d)
-        self.parents = np.full(d, -1)
-        self.gates = np.full(d, -1)
-        self.ends = [d]
+        self.rows = start
+        self.masks = np.arange(len(start))
+        self.parents = np.full(len(start), -1)
+        self.gates = np.full(len(start), -1)
+        self.ends = [len(start)]
         self._index: dict[int, list[int]] = {}
         for i, key in enumerate(_rounded(self.rows)):
             self._index.setdefault(self._hash(key, i), []).append(i)
@@ -141,7 +155,7 @@ class EffectSet:
         return hash((key_row.tobytes(), mask) if self.keyed_by_mask else key_row.tobytes())
 
     def upto(self, level: int) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(rows, masks) of M_level, and whether they had to be built."""
+        """(rows, masks) of R_level, and whether they had to be built."""
         with self._lock:
             built = len(self.ends) <= level
             while len(self.ends) <= level:
@@ -150,7 +164,6 @@ class EffectSet:
             return self.rows[:end], self.masks[:end], built
 
     def _grow(self) -> None:
-        d = 2 ** self.n
         lo = self.ends[-2] if len(self.ends) > 1 else 0
         hi = self.ends[-1]
         kept: list[np.ndarray] = []
@@ -163,18 +176,16 @@ class EffectSet:
             return (not self.keyed_by_mask or row_mask == mask) and np.array_equal(_rounded(row), key_row)
 
         for g, pg in enumerate(self.alphabet):
-            adjoints = [(k.conj().T, k) for k in pg.kraus_full]
             for start in range(lo, hi, CHUNK_ROWS):
-                q = unpack(self.rows[start : start + CHUNK_ROWS], d)
-                pulled = pack(sum(kd @ q @ k for kd, k in adjoints))
-                for t, key_row in enumerate(_rounded(pulled)):
+                stepped = self.step(pg, self.rows[start : start + CHUNK_ROWS])
+                for t, key_row in enumerate(_rounded(stepped)):
                     parent = start + t
                     mask = int(self.masks[parent])
                     bucket = self._index.setdefault(self._hash(key_row, mask), [])
                     if any(same(j, key_row, mask) for j in bucket):
                         continue
                     bucket.append(hi + len(kept))
-                    kept.append(pulled[t].copy())  # a view would pin the whole batch
+                    kept.append(stepped[t].copy())  # a view would pin the whole batch
                     masks.append(mask)
                     parents.append(parent)
                     gates.append(g)
@@ -193,14 +204,37 @@ class EffectSet:
         return Circuit(self.n, tuple((pg.gate, pg.edge) for pg in placed))
 
 
+def least_level(reach: ReachableSet, r_max: int, hit: Callable[[np.ndarray], np.ndarray]) -> int | float:
+    """The least k <= r_max at which `hit(rows)` marks a row of R_k, or
+    math.inf.  Each level's circuit count 1 + A + ... + A^k is checked
+    against the enumeration budget before the level is built, and the search
+    stops once a level adds nothing, since no later level can."""
+    for k in range(r_max + 1):
+        check_budget(len(reach.alphabet), k, None)
+        new = reach.upto(k)[0][reach.ends[k - 1] if k else 0 :]
+        if len(new) == 0:
+            break
+        if np.any(hit(new)):
+            return k
+    return math.inf
+
+
+def _pull_back(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
+    return pack(pg.pullback(unpack(rows, 2 ** pg.n)))
+
+
 _EFFECT_SETS = BoundedCache()
 
 
-def effect_set(gate_set: GateSet, n: int) -> EffectSet:
-    """The cached EffectSet of this gate-set content on n qubits."""
+def effect_set(gate_set: GateSet, n: int) -> ReachableSet:
+    """The cached chain M_0 <= M_1 <= ... of this gate-set content on n qubits."""
     alphabet = placed_alphabet(gate_set, n)
-    key = (gate_set_key(gate_set), n)
-    return _EFFECT_SETS.get(key, lambda: EffectSet(alphabet, n, not gate_set.is_unitary_only))
+
+    def build() -> ReachableSet:
+        projectors = pack(mask_matrix(n)[:, :, None] * np.eye(2 ** n))
+        return ReachableSet(alphabet, n, projectors, _pull_back, not gate_set.is_unitary_only)
+
+    return _EFFECT_SETS.get((gate_set_key(gate_set), n), build)
 
 
 # ---------------------------------------------------------------------------

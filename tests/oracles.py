@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from cxtherm.gates import MATRIX_HASH_DECIMALS, iter_circuits, iter_simple_effects
+from cxtherm.gates import MATRIX_HASH_DECIMALS, Circuit, iter_simple_effects, placed_alphabet
 from cxtherm.registers import PovmEffect, register
 
 
@@ -186,7 +186,19 @@ def brute_force_protocol_work(rho_mat, n, gate_list, eta, max_ops, log_z,
     return best
 
 
-def dfs_enumerate_effects(gate_set, r, n, budget=None, dedup=True):
+def iter_circuits(gate_set, n, r):
+    """Every circuit of at most r placed gates, in lexicographic order of
+    the placed alphabet, depth first."""
+    alphabet = placed_alphabet(gate_set, n)
+    stack = [()]
+    while stack:
+        ops = stack.pop()
+        yield Circuit(n, tuple((alphabet[i].gate, alphabet[i].edge) for i in ops))
+        if len(ops) < r:
+            stack.extend(ops + (i,) for i in reversed(range(len(alphabet))))
+
+
+def dfs_enumerate_effects(gate_set, r, n, dedup=True):
     """M_r by depth-first search over every circuit of at most r gates, each
     simple effect pulled back gate by gate.  With dedup=False every
     (circuit, mask) pair is yielded.  Deduplication hashes matrices rounded
@@ -197,7 +209,7 @@ def dfs_enumerate_effects(gate_set, r, n, budget=None, dedup=True):
         raise ValueError("exact enumeration requires a finite gate set")
     seen = set()
     simple = list(iter_simple_effects(n))
-    for circuit in iter_circuits(gate_set, n, r, budget=budget):
+    for circuit in iter_circuits(gate_set, n, r):
         placed = circuit.placed()
         pulled = []
         for eff in simple:

@@ -151,6 +151,17 @@ class TestEmission:
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 depths
 
+    def test_transition_pure_state_entropy_not_below_zero(self, tmp_path, run_cli):
+        # depth 25 holds a reachable pure state whose entropy rounding once
+        # put at -2.2e-16 nats
+        res = run_cli(["transition", "--n", "3", "--r", "2", "--eta", "1.0",
+                       "--depths", "0,1,2,5,10,25,50,100", "--samples", "20",
+                       "--output", "t.csv"], tmp_path)
+        assert res.returncode == 0
+        with open(tmp_path / "t.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert min(float(row["min_entropy"]) for row in rows) >= 0.0
+
 
 class TestDeterminism:
     def test_selftest_identical_across_threads(self, tmp_path, run_cli):

@@ -15,6 +15,7 @@ from cxtherm.cxentropy import (
     success_probability,
 )
 from cxtherm.entropies import hyp_relative_entropy
+from cxtherm.experiments import brickwork_circuit
 from cxtherm.gates import continuous_su4_gate_set, default_gate_set
 from cxtherm.registers import (
     DensityOperator,
@@ -25,6 +26,7 @@ from cxtherm.registers import (
     ones_state,
     partial_trace,
     register,
+    state_from_vector,
     tensor,
     zero_state,
 )
@@ -69,6 +71,16 @@ class TestWorkedExamples:
         for r in (0, 1, 2, 3):
             est = cx_entropy(ghz_state(3), gate_set, r, 0.999)
             assert est.in_bits() == pytest.approx(max(3 - r, 0), abs=1e-9)
+
+    def test_reachable_pure_state_not_below_zero(self, gate_set):
+        # a depth-25 brickwork state whose witness has tr(Q rho) a rounding
+        # error above tr Q = 1; the ratio is taken with min(tr(Q rho), tr Q)
+        vec = np.zeros(8, dtype=complex)
+        vec[0] = 1.0
+        for pg in brickwork_circuit(3, 25, "finite", 25 * 1009 + 18, gate_set).placed():
+            vec = pg.apply_vector(vec)
+        est = cx_entropy(state_from_vector(vec), gate_set, 2, 1.0)
+        assert 0.0 <= est.value <= 1e-12
 
     def test_maximally_mixed_flat(self, gate_set):
         for r in (0, 1):

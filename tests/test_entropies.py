@@ -177,6 +177,18 @@ class TestHypTest:
         assert w.min() >= -1e-10 and w.max() <= 1 + 1e-10
         assert np.trace(q @ rho.matrix).real >= eta - 1e-10
 
+    def test_full_eta_dual_is_a_finite_mu_certificate(self):
+        # At eta = tr(rho) the optimal test is the support projector and mu*
+        # is infinite.  The dual comes from finite mu, so with Gamma coupling
+        # supp(rho) to its kernel it lies strictly below beta*: in D terms
+        # dual >= primal, by a small but nonzero gap.
+        for seed in range(5):
+            rho = rand_state(2, 40 + seed, rank=2)
+            gamma = rand_psd(2, 50 + seed)
+            res = hyp_relative_entropy(rho, gamma, rho.trace())
+            assert math.isfinite(res.dual_value)
+            assert 0.0 < res.dual_value - res.primal_value < 1e-6
+
     def test_kernel_mix_takes_cheapest_direction(self):
         # At the threshold both light directions sit inside the kernel band;
         # the optimum fills the cheaper one (Gamma = g) before the dearer one.

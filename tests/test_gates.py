@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,14 +16,12 @@ from cxtherm.gates import (
     channel_gate,
     choi_matrix,
     circuit_complexity,
-    compose_unitary,
     default_gate_set,
     entangling_power,
     enumerate_effects,
     expand_operator,
     gibbs_check,
     inverse_circuit,
-    iter_circuits,
     iter_simple_effects,
     kraus_from_choi,
     mask_matrix,
@@ -34,13 +33,32 @@ from cxtherm.gates import (
 )
 from cxtherm.registers import DensityOperator, ghz_state, register, zero_state
 from cxtherm.sampling import haar_unitary, random_density_matrix, sample_haar_unitary, task_rng
+from cxtherm.search import circuit_count
 from cxtherm.thermo import ThermalModel
 
-from oracles import bell_by_hand, brute_force_state_distance, entangling_power_grid_oracle
+from oracles import bell_by_hand, brute_force_state_distance, entangling_power_grid_oracle, iter_circuits
 
 
 def find_gate(gate_set, name):
     return next(g for g in gate_set.gates if g.name == name)
+
+
+def circuit_unitary(circuit):
+    """Full-register unitary of a unitary circuit, gates applied left to right."""
+    u = np.eye(2 ** circuit.n, dtype=complex)
+    for pg in circuit.placed():
+        u = pg.unitary_full @ u
+    return u
+
+
+@lru_cache(maxsize=None)
+def word_unitaries(connectivity, n, r):
+    """(gate count, unitary) of every word of at most r placed gates."""
+    return [(c.complexity, circuit_unitary(c)) for c in iter_circuits(default_gate_set(connectivity), n, r)]
+
+
+def pure_distance(target, vec):
+    return math.sqrt(max(0.0, 1.0 - abs(np.vdot(target, vec)) ** 2))
 
 
 class TestApplyCircuit:
@@ -109,7 +127,7 @@ class TestPullback:
     def test_unitary_equals_conjugation(self, gate_set):
         circuit = Circuit(2, ((find_gate(gate_set, "h_a"), (0, 1)),
                               (find_gate(gate_set, "cnot"), (0, 1))))
-        u = compose_unitary(circuit)
+        u = circuit_unitary(circuit)
         eff = list(iter_simple_effects(2))[3]
         q = pullback_effect(circuit, eff)
         assert np.allclose(q.matrix, u.conj().T @ eff.matrix() @ u, atol=1e-12)
@@ -134,22 +152,12 @@ class TestEnumeration:
 
     def test_budget_enforced(self, gate_set):
         with pytest.raises(BudgetExceededError):
-            list(iter_circuits(gate_set, 3, 3, budget=10))
+            list(enumerate_effects(gate_set, 3, 3, budget=10))
 
     def test_effect_validity(self, gate_set):
         for eff in enumerate_effects(gate_set, 1, 2):
             w = np.linalg.eigvalsh(eff.matrix)
             assert w.min() >= -1e-10 and w.max() <= 1 + 1e-10
-
-    def test_shards_partition_circuits(self, gate_set):
-        def key(c):
-            return tuple((g.name, e) for g, e in c.ops)
-
-        full = {key(c) for c in iter_circuits(gate_set, 2, 1)}
-        sharded = set()
-        for k in range(3):
-            sharded |= {key(c) for c in iter_circuits(gate_set, 2, 1, shard=(k, 3))}
-        assert full == sharded
 
 
 class TestCircuitComplexity:
@@ -192,6 +200,48 @@ class TestStateComplexity:
         psi = ghz_state(2)
         values = [approx_state_complexity(psi, gate_set, eps, 3) for eps in (0.0, 0.3, 0.8)]
         assert values[0] >= values[1] >= values[2]
+
+
+class TestEngineBackedMeasures:
+    """Both measures are level queries on the reachable-set engine; a scan
+    over every gate word, undeduplicated, must give the same least level."""
+
+    @pytest.mark.parametrize("connectivity, n, r", [("all-to-all", 2, 3), ("chain", 3, 2)])
+    def test_equal_a_brute_force_over_words(self, connectivity, n, r):
+        gate_set = default_gate_set(connectivity)
+        words = word_unitaries(connectivity, n, r)
+        rng = task_rng(17 + n)
+        targets = [words[int(i)][1] for i in rng.integers(len(words), size=6)]
+        targets.append(sample_haar_unitary(2 ** n, n))
+        for target in targets:
+            least = min((k for k, u in words if np.linalg.norm(u - target, 2) <= 1e-8), default=math.inf)
+            assert circuit_complexity(gate_set, target, r, n=n) == least
+            psi = target[:, 0]
+            for eps in (0.0, 0.2, 0.5):
+                least = min((k for k, u in words if pure_distance(psi, u[:, 0]) <= eps + 1e-7),
+                            default=math.inf)
+                assert approx_state_complexity(psi, gate_set, eps, r) == least
+
+    def test_global_phase_counts_for_unitaries_only(self, gate_set):
+        words = word_unitaries("all-to-all", 2, 2)
+        for _, u in words[1::23]:
+            shifted = np.exp(0.3j) * u
+            assert circuit_complexity(gate_set, shifted, 2, n=2) == math.inf
+            level = approx_state_complexity(u[:, 0], gate_set, 0.0, 2)
+            assert level <= 2
+            assert approx_state_complexity(shifted[:, 0], gate_set, 0.0, 2) == level
+
+    def test_budget_is_checked_level_by_level(self, gate_set, monkeypatch):
+        # level 1 fits the budget and level 2 does not
+        monkeypatch.setenv("CXTHERM_BUDGET", str(circuit_count(len(placed_alphabet(gate_set, 2)), 1)))
+        flipped = np.zeros(4)
+        flipped[2] = 1.0  # x_a |00>
+        assert circuit_complexity(gate_set, expand_operator(CNOT, 2, [0, 1]), 3, n=2) == 1
+        assert approx_state_complexity(flipped, gate_set, 0.0, 3) == 1
+        with pytest.raises(BudgetExceededError):
+            circuit_complexity(gate_set, sample_haar_unitary(4, 5), 3, n=2)
+        with pytest.raises(BudgetExceededError):
+            approx_state_complexity(ghz_state(2), gate_set, 0.0, 3)
 
 
 class TestEntanglingPower:

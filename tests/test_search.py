@@ -36,7 +36,7 @@ from cxtherm.gates import (
 )
 from cxtherm.registers import DensityOperator, HermitianOperator, partial_trace, register
 from cxtherm.sampling import random_density_matrix, task_rng
-from cxtherm.search import EffectSet, effect_set, minimize_over_effects
+from cxtherm.search import ReachableSet, effect_set, minimize_over_effects
 from cxtherm.thermo import ThermalModel, compression_search, erasure_search, gibbs_preserving_gate_set
 
 from oracles import dfs_enumerate_effects
@@ -201,6 +201,7 @@ def test_concurrent_queries_share_one_build():
     finally:
         sys.setswitchinterval(old)
     assert len(values) == 1
-    sequential = EffectSet(placed_alphabet(gate_set, 3), 3, False)
+    shared = effect_set(gate_set, 3)
+    sequential = ReachableSet(placed_alphabet(gate_set, 3), 3, shared.rows[: shared.ends[0]], shared.step)
     sequential.upto(2)
-    assert effect_set(gate_set, 3).ends == sequential.ends
+    assert shared.ends == sequential.ends
