@@ -27,11 +27,8 @@ from .gates import (
     GateSet,
     SimpleEffect,
     apply_circuit,
-    approx_state_complexity,
-    circuit_complexity,
     default_gate_set,
     entangling_power,
-    enumerate_effects,
     gibbs_check,
     parse_gate_set,
     pullback_effect,
@@ -54,6 +51,7 @@ from .registers import (
     zero_state,
 )
 from .sampling import sample_density, sample_haar_unitary, sample_pure_state, task_rng
+from .search import approx_state_complexity, circuit_complexity, enumerate_effects
 from .thermo import (
     CostLedger,
     ErasureResult,

@@ -106,7 +106,6 @@ def _enumeration_estimate(
     r: int,
     eta: float,
     reduced: bool,
-    budget: int | None,
 ) -> EntropyEstimate:
     n = rho.n
     eta_eff = eta - FEASIBILITY_SLACK
@@ -125,7 +124,7 @@ def _enumeration_estimate(
         raw = gamma_tr if reduced else gamma_tr / np.maximum(accept, 1e-300)
         return np.where(rho_tr >= eta_eff, raw, math.inf)
 
-    best = minimize_over_effects(gate_set, n, r, mats, score, budget=budget)
+    best = minimize_over_effects(gate_set, n, r, mats, score)
     witness = pullback_effect(best.circuit, simple_effect_from_bits(n, best.mask_bits))
     _verify_witness(witness, rho, eta)
     value = math.inf if best.value <= 0.0 else -math.log(best.value)
@@ -147,8 +146,6 @@ def cx_relative_entropy(
     eta: float,
     *,
     reduced: bool = False,
-    solver: str = "auto",
-    budget: int | None = None,
     threads: int = 1,
     seed: int = 0,
     restarts: int = 32,
@@ -159,16 +156,16 @@ def cx_relative_entropy(
     Normalized form: -log inf tr(Q Gamma)/tr(Q rho); with `reduced=True` the
     normalization is dropped: -log inf tr(Q Gamma), both over Q in M_r with
     tr(Q rho) >= eta.  The identity effect is always in M_0, so the candidate
-    set is never empty for eta <= tr(rho).  `threads` parallelizes the
-    heuristic's restarts; enumeration runs in the calling thread.
+    set is never empty for eta <= tr(rho).
+
+    A finite gate set is enumerated exactly; the continuous SU(4) family is
+    searched by the heuristic, whose feasible candidate is a lower bound.
+    `threads` parallelizes the heuristic's restarts; enumeration runs in the
+    calling thread.
     """
     _check_args(rho, gamma, r, eta)
-    if solver == "auto":
-        solver = "enumeration" if gate_set.kind == "finite" else "heuristic"
-    if solver == "enumeration":
-        return _enumeration_estimate(rho, gamma, gate_set, r, eta, reduced, budget)
-    if solver != "heuristic":
-        raise ValueError(f"unknown solver {solver!r}")
+    if gate_set.kind == "finite":
+        return _enumeration_estimate(rho, gamma, gate_set, r, eta, reduced)
 
     from .heuristic import heuristic_search
 
@@ -190,8 +187,6 @@ def cx_entropy(
     eta: float,
     *,
     reduced: bool = False,
-    solver: str = "auto",
-    budget: int | None = None,
     threads: int = 1,
     seed: int = 0,
     restarts: int = 32,
@@ -201,8 +196,7 @@ def cx_entropy(
     identity = HermitianOperator(rho.register, np.eye(rho.dim))
     est = cx_relative_entropy(
         rho, identity, gate_set, r, eta,
-        reduced=reduced, solver=solver, budget=budget, threads=threads,
-        seed=seed, restarts=restarts, iterations=iterations,
+        reduced=reduced, threads=threads, seed=seed, restarts=restarts, iterations=iterations,
     )
     certainty = {"exact": "exact", "lower_bound": "upper_bound"}[est.certainty]
     return EntropyEstimate(-est.value, certainty, est.witness, est.solver)
@@ -213,8 +207,6 @@ def conditional_cx_entropy(
     spec: ConditionalSpec,
     gate_set: GateSet,
     *,
-    solver: str = "auto",
-    budget: int | None = None,
     threads: int = 1,
 ) -> EntropyEstimate:
     """Complexity conditional entropy H(A|B) = -D_H^{r,eta}(rho_AB || I_A x rho_B)."""
@@ -227,10 +219,7 @@ def conditional_cx_entropy(
     gamma = HermitianOperator(
         rho_ab.register, expand_operator(rho_b.matrix, rho_ab.n, positions)
     )
-    est = cx_relative_entropy(
-        rho_ab, gamma, gate_set, spec.r, spec.eta,
-        solver=solver, budget=budget, threads=threads,
-    )
+    est = cx_relative_entropy(rho_ab, gamma, gate_set, spec.r, spec.eta, threads=threads)
     certainty = {"exact": "exact", "lower_bound": "upper_bound"}[est.certainty]
     return EntropyEstimate(-est.value, certainty, est.witness, est.solver)
 
@@ -240,8 +229,6 @@ def success_probability(
     gate_set: GateSet,
     r: int,
     m: float,
-    *,
-    budget: int | None = None,
 ) -> float:
     """Best acceptance probability over effects in M_r with log2 tr(Q) pinned
     to floor(m / log 2)."""
@@ -258,7 +245,7 @@ def success_probability(
         ok = np.abs(np.log2(np.maximum(q_tr, 1e-300)) - w) <= 1e-9
         return np.where(ok, -traces[0], math.inf)
 
-    best = minimize_over_effects(gate_set, n, r, mats, score, budget=budget)
+    best = minimize_over_effects(gate_set, n, r, mats, score)
     if not math.isfinite(best.value):
         raise ValueError("empty candidate class at the requested size")
     return -best.value
@@ -269,8 +256,6 @@ def distinguishability_beta(
     sigma: DensityOperator,
     gate_set: GateSet,
     r: int,
-    *,
-    budget: int | None = None,
 ) -> float:
     """beta^r(rho, sigma) = max over M_r of |tr(Q (rho - sigma))|."""
     if rho.register.labels != sigma.register.labels:
@@ -279,9 +264,7 @@ def distinguishability_beta(
     def score(traces, masks):
         return -np.abs(traces[0])
 
-    best = minimize_over_effects(
-        gate_set, rho.n, r, [rho.matrix - sigma.matrix], score, budget=budget
-    )
+    best = minimize_over_effects(gate_set, rho.n, r, [rho.matrix - sigma.matrix], score)
     return -best.value
 
 
@@ -293,7 +276,6 @@ def hypothesis_test_witness(
     eta: float,
     delta: float,
     *,
-    budget: int | None = None,
     threads: int = 1,
 ) -> tuple[PovmEffect, float] | None:
     """A pair (Q, q) with tr(qQ rho) = eta and tr(qQ sigma) <= delta, or None.
@@ -302,7 +284,7 @@ def hypothesis_test_witness(
     """
     if not (0.0 < eta <= 1.0 and 0.0 < delta <= 1.0):
         raise ValueError("eta and delta must lie in (0, 1]")
-    est = cx_relative_entropy(rho, sigma, gate_set, r, eta, budget=budget, threads=threads)
+    est = cx_relative_entropy(rho, sigma, gate_set, r, eta, threads=threads)
     threshold = -math.log(delta / eta)
     if est.value < threshold - 1e-12:
         return None

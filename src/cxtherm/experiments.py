@@ -27,6 +27,7 @@ from .gates import (
     GateSet,
     entangling_power,
     expand_operator,
+    expand_two_qubit,
     inverse_circuit,
     placed_alphabet,
     pullback_effect,
@@ -44,6 +45,9 @@ from .registers import (
 from .sampling import haar_unitary, random_density_matrix, task_rng
 
 LOG2 = math.log(2.0)
+# ising_quench halves its finite-difference step until two estimates agree
+# to this
+QUENCH_DERIVATIVE_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +106,7 @@ class TransitionRow:
 
 def _transition_sample(
     n: int, depth: int, r: int, eta: float, gate_set: GateSet,
-    source: str, seed: int, sample: int, budget: int | None,
+    source: str, seed: int, sample: int,
 ) -> tuple[bool, float, float, str]:
     circuit = brickwork_circuit(n, depth, source, seed * 100003 + depth * 1009 + sample,
                                 gate_set if source == "finite" else None)
@@ -120,7 +124,7 @@ def _transition_sample(
             accept = float(np.trace(witness.matrix @ psi.matrix).real)
             certified = accept >= eta - 1e-10
     if source == "finite":
-        est = cx_entropy(psi, gate_set, r, eta, budget=budget)
+        est = cx_entropy(psi, gate_set, r, eta)
         return certified, est.value, est.value, "exact"
     # continuous gates: certificate upper bound, unrestricted-entropy lower
     upper = 0.0 if certified else n * LOG2
@@ -138,14 +142,13 @@ def transition_scan(
     seed: int,
     *,
     source: str = "finite",
-    budget: int | None = None,
     threads: int = 1,
 ) -> list[TransitionRow]:
     rows = []
     for depth in depths:
         gate_count = sum(len(layer) for layer in brickwork_layers(n, depth))
         results = deterministic_map(
-            lambda s: _transition_sample(n, depth, r, eta, gate_set, source, seed, s, budget),
+            lambda s: _transition_sample(n, depth, r, eta, gate_set, source, seed, s),
             list(range(samples)),
             threads,
         )
@@ -248,13 +251,13 @@ class EntanglementBoundResult:
 
 def entanglement_bound_check(
     rho: DensityOperator, gate_set: GateSet, r: int, eta: float,
-    *, budget: int | None = None, threads: int = 1,
+    *, threads: int = 1,
 ) -> EntanglementBoundResult:
     """H_H^{r,eta}(rho) against its entanglement lower bound on a 1D chain."""
     if gate_set.connectivity != "chain":
         raise ValueError("the entanglement bound needs a nearest-neighbor gate set")
     n = rho.n
-    lhs = cx_entropy(rho, gate_set, r, eta, budget=budget, threads=threads).value
+    lhs = cx_entropy(rho, gate_set, r, eta, threads=threads).value
     mu = worst_case_gate_bound(gate_set, n)
     rhs = (
         entanglement_E(rho)
@@ -295,7 +298,6 @@ def ising_quench(
     times: list[float],
     *,
     initial: str = "ones",
-    derivative_tol: float = 1e-4,
 ) -> QuenchTrace:
     """Exact evolution under the periodic transverse-field Ising chain with
     the incremental-entangling bound 22 log2 (n-1) ||h|| on dE/dt."""
@@ -332,7 +334,7 @@ def ising_quench(
         for _ in range(20):
             step /= 2.0
             cur = (e_at(t + step) - e_at(max(t - step, 0.0))) / (step + min(step, t))
-            if abs(cur - prev) <= derivative_tol:
+            if abs(cur - prev) <= QUENCH_DERIVATIVE_TOL:
                 return cur
             prev = cur
         warnings.warn("quench derivative estimate did not stabilize; step too coarse")
@@ -357,18 +359,14 @@ class ConjectureProbeResult:
 
 def _chain_rule_slack(
     rho: DensityOperator, na: int, nb: int, gate_set: GateSet,
-    r: int, eta: float, budget: int | None,
+    r: int, eta: float,
 ) -> float:
     labels = rho.register.labels
     a = labels[:na]
     b = labels[na : na + nb]
     rr = labels[na + nb :]
-    h_ab = conditional_cx_entropy(
-        rho, ConditionalSpec(a + b, rr, r, eta), gate_set, budget=budget
-    ).value
-    h_b = conditional_cx_entropy(
-        rho, ConditionalSpec(b, rr, r, eta), gate_set, budget=budget
-    ).value
+    h_ab = conditional_cx_entropy(rho, ConditionalSpec(a + b, rr, r, eta), gate_set).value
+    h_b = conditional_cx_entropy(rho, ConditionalSpec(b, rr, r, eta), gate_set).value
     return h_ab + na * LOG2 - h_b
 
 
@@ -380,7 +378,6 @@ def decoupling_probe(
     trials: int,
     seed: int,
     *,
-    budget: int | None = None,
     threads: int = 1,
 ) -> ConjectureProbeResult:
     """Random probes of the conjectured chain rule
@@ -394,7 +391,7 @@ def decoupling_probe(
         rho = DensityOperator(
             register(n), random_density_matrix(2 ** n, int(rng.integers(1, 2 ** n + 1)), rng)
         )
-        return t, _chain_rule_slack(rho, na, nb, gate_set, r, eta, budget), rho
+        return t, _chain_rule_slack(rho, na, nb, gate_set, r, eta), rho
 
     results = deterministic_map(one, list(range(trials)), threads)
     min_t, min_slack, min_rho = min(results, key=lambda x: (x[1], x[0]))
@@ -432,7 +429,6 @@ def decoupling_simulate(
     delta: float,
     seed: int,
     *,
-    budget: int | None = None,
     threads: int = 1,
 ) -> DecouplingResult:
     """Alice applies a random <= r0-gate unitary to A, discards k qubits, and
@@ -443,6 +439,8 @@ def decoupling_simulate(
     """
     if r1 < r0:
         raise ValueError("the referee budget r1 must be >= Alice's r0")
+    if not gate_set.is_unitary_only:
+        raise ValueError("decoupling is defined for unitary computations")
     labels = rho_ar.register.labels
     a_labels, r_labels = labels[:n_a], labels[n_a:]
 
@@ -455,7 +453,7 @@ def decoupling_simulate(
         if not alpha:
             break
         pg = alpha[int(rng.integers(len(alpha)))]
-        u = expand_operator(pg.unitary_full, n, list(range(n_a)))
+        u = expand_two_qubit(pg.gate.unitary, n, *pg.edge)
         sigma = u @ sigma @ u.conj().T
     rho_prime = DensityOperator(rho_ar.register, sigma)
 
@@ -466,14 +464,12 @@ def decoupling_simulate(
     d_a2 = 2 ** n_a2
     pi_part = np.kron(np.eye(d_a2, dtype=complex) / d_a2, rho_r.matrix)
     gamma = HermitianOperator(rho_a2r.register, pi_part)
-    est = cx_relative_entropy(
-        rho_a2r, gamma, gate_set, r1, eta, budget=budget, threads=threads
-    )
+    est = cx_relative_entropy(rho_a2r, gamma, gate_set, r1, eta, threads=threads)
     threshold = -math.log(delta / eta)
     success = est.value <= threshold + 1e-12
 
     h_cond = conditional_cx_entropy(
-        rho_ar, ConditionalSpec(a_labels, r_labels, r1 - r0, eta), gate_set, budget=budget
+        rho_ar, ConditionalSpec(a_labels, r_labels, r1 - r0, eta), gate_set
     ).value
     bound_k = 0.5 * (n_a - h_cond / LOG2 + math.log2(delta / eta))
     return DecouplingResult(success, est.value, threshold, bound_k)

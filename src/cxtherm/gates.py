@@ -1,5 +1,4 @@
-"""Two-qubit gate sets, circuits, simple effects, and circuit-complexity
-measures.
+"""Two-qubit gate sets, placed gates, circuits, and simple effects.
 
 A gate is always a 4x4 unitary or a 4x4-Kraus channel; single-qubit actions
 are carried as u (x) I factors.  Placing a gate on an ordered edge (i, j)
@@ -10,7 +9,6 @@ gates.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -21,14 +19,10 @@ import numpy as np
 
 from .registers import DensityOperator, PovmEffect, register
 
-DEFAULT_BUDGET = 10 ** 7
 MATRIX_HASH_DECIMALS = 10
-
-
-def enumeration_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return int(budget)
-    return int(os.environ.get("CXTHERM_BUDGET", DEFAULT_BUDGET))
+# Choi eigenvalues below this fraction of the largest carry no Kraus operator
+KRAUS_RANK_TOL = 1e-12
+CPTP_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +215,6 @@ class PlacedGate:
             self.kraus_full = tuple(expand_two_qubit(k, n, *self.edge) for k in gate.kraus)
 
     def apply_matrix(self, sigma: np.ndarray) -> np.ndarray:
-        if self.unitary_full is not None:
-            u = self.unitary_full
-            return u @ sigma @ u.conj().T
         out = None
         for k in self.kraus_full:
             term = k @ sigma @ k.conj().T
@@ -235,9 +226,6 @@ class PlacedGate:
 
     def pullback(self, effect: np.ndarray) -> np.ndarray:
         """Heisenberg-picture adjoint applied to an effect matrix."""
-        if self.unitary_full is not None:
-            u = self.unitary_full
-            return u.conj().T @ effect @ u
         out = None
         for k in self.kraus_full:
             term = k.conj().T @ effect @ k
@@ -245,8 +233,7 @@ class PlacedGate:
         return out
 
     def matrix_key(self) -> bytes:
-        mats = self.kraus_full if self.unitary_full is None else (self.unitary_full,)
-        return b"".join(np.round(m, MATRIX_HASH_DECIMALS).tobytes() for m in mats)
+        return b"".join(np.round(m, MATRIX_HASH_DECIMALS).tobytes() for m in self.kraus_full)
 
 
 class BoundedCache:
@@ -424,107 +411,6 @@ def inverse_circuit(circuit: Circuit, gate_set: GateSet | None = None) -> Circui
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration of complexity-restricted effects
-
-
-def enumerate_effects(
-    gate_set: GateSet,
-    r: int,
-    n: int,
-    budget: int | None = None,
-) -> Iterator[PovmEffect]:
-    """All effects in M_r = {pullbacks of simple effects through <= r gates},
-    each with the circuit and simple effect that first reached it.
-
-    Effects equal after rounding to 1e-10 are yielded once (once per mask for
-    channel gate sets); this affects only the number of items yielded, never
-    the set realized.
-    """
-    from .search import check_budget, effect_set, unpack  # search builds on this module
-
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if gate_set.kind != "finite":
-        raise ValueError("exact enumeration requires a finite gate set")
-    effects = effect_set(gate_set, n)
-    check_budget(len(effects.alphabet), r, budget)
-    rows, masks, _ = effects.upto(r)
-    for i in range(len(rows)):
-        provenance = (effects.circuit(i), simple_effect_from_bits(n, int(masks[i])))
-        yield PovmEffect(register(n), unpack(rows[i], 2 ** n), provenance=provenance)
-
-
-# ---------------------------------------------------------------------------
-# complexity measures
-
-
-def _real_rows(z: np.ndarray) -> np.ndarray:
-    """A stack of complex arrays as real rows, the form a ReachableSet stores."""
-    return np.ascontiguousarray(z).reshape(len(z), -1).view(float)
-
-
-def circuit_complexity(
-    gate_set: GateSet, target: np.ndarray, r_max: int, n: int | None = None
-) -> int | float:
-    """Least number of placed gates composing to `target` within 1e-8 in
-    operator norm; math.inf when r_max is exhausted."""
-    from .search import ReachableSet, least_level  # search builds on this module
-
-    target = np.asarray(target, dtype=complex)
-    d = target.shape[0]
-    n = n if n is not None else int(round(math.log2(d)))
-    alphabet = placed_alphabet(gate_set, n)
-    if not all(pg.gate.is_unitary for pg in alphabet):
-        raise ValueError("circuit complexity is defined for unitary gate sets")
-
-    def left_multiply(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
-        return _real_rows(pg.apply_vector(rows.view(complex).reshape(-1, d, d)))
-
-    def matches(rows: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(rows.view(complex).reshape(-1, d, d) - target, ord=2, axis=(1, 2)) <= 1e-8
-
-    identity = _real_rows(np.eye(d, dtype=complex)[None])
-    return least_level(ReachableSet(alphabet, n, identity, left_multiply), r_max, matches)
-
-
-def approx_state_complexity(
-    psi: DensityOperator | np.ndarray, gate_set: GateSet, eps: float, r_max: int
-) -> int | float:
-    """Least gate count preparing a state within trace distance eps of psi,
-    starting from |0^n>; math.inf when r_max is exhausted."""
-    from .search import ReachableSet, least_level  # search builds on this module
-
-    if isinstance(psi, DensityOperator):
-        w, v = np.linalg.eigh(psi.matrix)
-        if w[-1] < 1.0 - 1e-9:
-            raise ValueError("approximate state complexity is defined for pure states")
-        target = v[:, -1]
-    else:
-        target = np.asarray(psi, dtype=complex).ravel()
-        target = target / np.linalg.norm(target)
-    d = target.size
-    n = int(round(math.log2(d)))
-    alphabet = placed_alphabet(gate_set, n)
-    if not all(pg.gate.is_unitary for pg in alphabet):
-        raise ValueError("state complexity is defined for unitary gate sets")
-
-    def prepare(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
-        # the global phase is fixed by making the first nonzero amplitude real
-        vecs = pg.apply_vector(rows.view(complex).T).T
-        lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs) > 1e-12, axis=1)]
-        return _real_rows(vecs / (lead / np.abs(lead))[:, None])
-
-    def close(rows: np.ndarray) -> np.ndarray:
-        # trace distance between pure states; near zero it carries
-        # sqrt(machine-eps) noise, so the slack sits at 1e-7, not finer
-        overlap = np.abs(rows.view(complex) @ target.conj()) ** 2
-        return np.sqrt(np.maximum(0.0, 1.0 - overlap)) <= eps + 1e-7
-
-    zero = _real_rows(np.eye(1, d, dtype=complex))
-    return least_level(ReachableSet(alphabet, n, zero, prepare), r_max, close)
-
-
-# ---------------------------------------------------------------------------
 # unitary geometry
 
 
@@ -556,23 +442,23 @@ def choi_matrix(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return sum(np.outer(v, v.conj()) for v in vs)
 
 
-def kraus_from_choi(choi: np.ndarray, tol: float = 1e-12) -> list[np.ndarray]:
+def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
     d = int(round(math.sqrt(choi.shape[0])))
     w, v = np.linalg.eigh(choi)
     out = []
     for wi, col in zip(w, v.T):
-        if wi > tol * max(w.max(), 1e-300):
+        if wi > KRAUS_RANK_TOL * max(w.max(), 1e-300):
             out.append(math.sqrt(wi) * col.reshape(d, d))
     return out
 
 
-def is_cptp(kraus: Sequence[np.ndarray], tol: float = 1e-9) -> bool:
+def is_cptp(kraus: Sequence[np.ndarray]) -> bool:
     c = choi_matrix(kraus)
-    if np.linalg.eigvalsh(c).min() < -tol:
+    if np.linalg.eigvalsh(c).min() < -CPTP_TOL:
         return False
     d = int(round(math.sqrt(c.shape[0])))
     tp = sum(np.asarray(k).conj().T @ np.asarray(k) for k in kraus)
-    return bool(np.linalg.norm(tp - np.eye(d), ord=2) <= tol)
+    return bool(np.linalg.norm(tp - np.eye(d), ord=2) <= CPTP_TOL)
 
 
 def gibbs_check(channel: Gate | Sequence[np.ndarray], gamma_pair: np.ndarray) -> bool:

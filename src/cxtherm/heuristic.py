@@ -95,7 +95,7 @@ def heuristic_search(
     """
     mm = mask_matrix(n)
     masks = np.arange(2 ** n)
-    pair_list = edges(connectivity, n) or [(0, 1)]
+    pair_list = edges(connectivity, n)
     tr_rho = float(np.trace(rho).real)
     meta = {"method": "heuristic", "restarts": restarts, "iterations": iterations}
 
@@ -112,8 +112,8 @@ def heuristic_search(
         meta,
     )
 
-    if r <= 0:
-        # only simple effects available; scan them directly
+    if r <= 0 or not pair_list:
+        # no gate can be placed, so M_r = M_0: scan the simple effects directly
         rho_tr = mm @ np.real(np.diag(rho))
         gam_tr = mm @ np.real(np.diag(gamma))
         for m in masks:

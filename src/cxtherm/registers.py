@@ -21,6 +21,7 @@ EIGENVALUE_FLOOR = -1e-10
 # matrix, which is not bit-stable and would break exact round trips
 CLAMP_THRESHOLD = -1e-13
 MAX_QUBITS = 12
+LABEL_PREFIX = "q"
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,9 @@ class QubitRegister:
             raise RegisterMismatchError(f"unknown label {label!r}") from None
 
 
-def register(n: int, prefix: str = "q") -> QubitRegister:
-    return QubitRegister(tuple(f"{prefix}{i}" for i in range(n)))
+def register(n: int) -> QubitRegister:
+    """The register q0, ..., q{n-1}."""
+    return QubitRegister(tuple(f"{LABEL_PREFIX}{i}" for i in range(n)))
 
 
 def _hermitize(matrix: np.ndarray) -> np.ndarray:

@@ -6,10 +6,10 @@ grown from start rows as R_k = R_{k-1} u {step(g, x) : x in R_{k-1}, g in the
 alphabet} and deduplicated on entries rounded to 1e-10.  Complex rows are
 stored as real views, so one rounding rule, index and provenance serve
 effects (`effect_set`: simple projectors pulled back, Q -> E^dag(Q), as packed
-Hermitian rows), unitaries (`gates.circuit_complexity`: the identity,
-V -> U V) and states (`gates.approx_state_complexity`: |0^n>, psi -> U psi
-with its global phase fixed).  `least_level` finds the first level holding a
-row with a given property.
+Hermitian rows), unitaries (`circuit_complexity`: the identity, V -> U V) and
+states (`approx_state_complexity`: |0^n>, psi -> U psi with its global phase
+fixed).  `least_level` finds the first level holding a row with a given
+property.  `CXTHERM_BUDGET` caps every query, see `check_budget`.
 
 Every exact solver minimizes a score over M_r, the effects
 Q = E_1^dag ... E_k^dag(P) that k <= r placed gates pull back from a simple
@@ -28,10 +28,11 @@ gate) order.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,11 +43,12 @@ from .gates import (
     Circuit,
     GateSet,
     PlacedGate,
-    enumeration_budget,
     gate_set_key,
     mask_matrix,
     placed_alphabet,
+    simple_effect_from_bits,
 )
+from .registers import DensityOperator, PovmEffect, register
 
 ScoreFn = Callable[[list[np.ndarray], np.ndarray], np.ndarray]
 
@@ -54,6 +56,8 @@ ScoreFn = Callable[[list[np.ndarray], np.ndarray], np.ndarray]
 # transient memory
 CHUNK_ROWS = 32
 QUERY_ROWS = 256
+# circuit-count cap used when CXTHERM_BUDGET is unset
+DEFAULT_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -75,10 +79,10 @@ def circuit_count(alphabet_size: int, r: int) -> int:
     return sum(alphabet_size ** k for k in range(r + 1))
 
 
-def check_budget(alphabet_size: int, r: int, budget: int | None) -> None:
+def check_budget(alphabet_size: int, r: int) -> None:
     """Refuse r before anything is built when the circuits of at most r
-    gates outnumber the enumeration budget."""
-    cap = enumeration_budget(budget)
+    gates outnumber the cap read from CXTHERM_BUDGET."""
+    cap = int(os.environ.get("CXTHERM_BUDGET", DEFAULT_BUDGET))
     total = circuit_count(alphabet_size, r)
     if total > cap:
         raise BudgetExceededError(total, cap)
@@ -210,7 +214,7 @@ def least_level(reach: ReachableSet, r_max: int, hit: Callable[[np.ndarray], np.
     against the enumeration budget before the level is built, and the search
     stops once a level adds nothing, since no later level can."""
     for k in range(r_max + 1):
-        check_budget(len(reach.alphabet), k, None)
+        check_budget(len(reach.alphabet), k)
         new = reach.upto(k)[0][reach.ends[k - 1] if k else 0 :]
         if len(new) == 0:
             break
@@ -237,6 +241,90 @@ def effect_set(gate_set: GateSet, n: int) -> ReachableSet:
     return _EFFECT_SETS.get((gate_set_key(gate_set), n), build)
 
 
+def enumerate_effects(gate_set: GateSet, r: int, n: int) -> Iterator[PovmEffect]:
+    """All effects in M_r = {pullbacks of simple effects through <= r gates},
+    each with the circuit and simple effect that first reached it.
+
+    Effects equal after rounding to 1e-10 are yielded once (once per mask for
+    channel gate sets); this affects only the number of items yielded, never
+    the set realized.
+    """
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if gate_set.kind != "finite":
+        raise ValueError("exact enumeration requires a finite gate set")
+    effects = effect_set(gate_set, n)
+    check_budget(len(effects.alphabet), r)
+    rows, masks, _ = effects.upto(r)
+    for i in range(len(rows)):
+        provenance = (effects.circuit(i), simple_effect_from_bits(n, int(masks[i])))
+        yield PovmEffect(register(n), unpack(rows[i], 2 ** n), provenance=provenance)
+
+
+# ---------------------------------------------------------------------------
+# circuit and state complexity
+
+
+def _real_rows(z: np.ndarray) -> np.ndarray:
+    """A stack of complex arrays as real rows, the form a ReachableSet stores."""
+    return np.ascontiguousarray(z).reshape(len(z), -1).view(float)
+
+
+def circuit_complexity(gate_set: GateSet, target: np.ndarray, r_max: int) -> int | float:
+    """Least number of placed gates composing to `target` within 1e-8 in
+    operator norm; math.inf when r_max is exhausted."""
+    target = np.asarray(target, dtype=complex)
+    d = target.shape[0]
+    n = int(round(math.log2(d)))
+    alphabet = placed_alphabet(gate_set, n)
+    if not all(pg.gate.is_unitary for pg in alphabet):
+        raise ValueError("circuit complexity is defined for unitary gate sets")
+
+    def left_multiply(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
+        return _real_rows(pg.apply_vector(rows.view(complex).reshape(-1, d, d)))
+
+    def matches(rows: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(rows.view(complex).reshape(-1, d, d) - target, ord=2, axis=(1, 2)) <= 1e-8
+
+    identity = _real_rows(np.eye(d, dtype=complex)[None])
+    return least_level(ReachableSet(alphabet, n, identity, left_multiply), r_max, matches)
+
+
+def approx_state_complexity(
+    psi: DensityOperator | np.ndarray, gate_set: GateSet, eps: float, r_max: int
+) -> int | float:
+    """Least gate count preparing a state within trace distance eps of psi,
+    starting from |0^n>; math.inf when r_max is exhausted."""
+    if isinstance(psi, DensityOperator):
+        w, v = np.linalg.eigh(psi.matrix)
+        if w[-1] < 1.0 - 1e-9:
+            raise ValueError("approximate state complexity is defined for pure states")
+        target = v[:, -1]
+    else:
+        target = np.asarray(psi, dtype=complex).ravel()
+        target = target / np.linalg.norm(target)
+    d = target.size
+    n = int(round(math.log2(d)))
+    alphabet = placed_alphabet(gate_set, n)
+    if not all(pg.gate.is_unitary for pg in alphabet):
+        raise ValueError("state complexity is defined for unitary gate sets")
+
+    def prepare(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
+        # the global phase is fixed by making the first nonzero amplitude real
+        vecs = pg.apply_vector(rows.view(complex).T).T
+        lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs) > 1e-12, axis=1)]
+        return _real_rows(vecs / (lead / np.abs(lead))[:, None])
+
+    def close(rows: np.ndarray) -> np.ndarray:
+        # trace distance between pure states; near zero it carries
+        # sqrt(machine-eps) noise, so the slack sits at 1e-7, not finer
+        overlap = np.abs(rows.view(complex) @ target.conj()) ** 2
+        return np.sqrt(np.maximum(0.0, 1.0 - overlap)) <= eps + 1e-7
+
+    zero = _real_rows(np.eye(1, d, dtype=complex))
+    return least_level(ReachableSet(alphabet, n, zero, prepare), r_max, close)
+
+
 # ---------------------------------------------------------------------------
 # queries
 
@@ -247,8 +335,6 @@ def minimize_over_effects(
     r: int,
     operators: Sequence[np.ndarray],
     score_fn: ScoreFn,
-    *,
-    budget: int | None = None,
 ) -> BestCandidate:
     """Minimize score_fn over M_r.
 
@@ -259,7 +345,7 @@ def minimize_over_effects(
     to that shape; np.inf marks an infeasible candidate.
     """
     effects = effect_set(gate_set, n)
-    check_budget(len(effects.alphabet), r, budget)
+    check_budget(len(effects.alphabet), r)
     rows, masks, built = effects.upto(max(r - 1, 0))
     first = effects.alphabet if r > 0 else ()
     width = len(first) + 1

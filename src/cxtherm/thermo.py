@@ -21,6 +21,7 @@ from .gates import (
     GateSet,
     PlacedGate,
     channel_gate,
+    edges,
     expand_operator,
     gibbs_check,
     mask_matrix,
@@ -188,11 +189,9 @@ def gibbs_preserving_gate_set(model: ThermalModel, connectivity: str = "all-to-a
     Every element is verified to fix the pair Gibbs weight on each edge it is
     placed on; construction fails otherwise.
     """
-    from .gates import edges as _edges
-
     sign_gates = _diagonal_sign_gates()
     placed_extra = []
-    for (i, j) in _edges(connectivity, model.n):
+    for (i, j) in edges(connectivity, model.n):
         cz_energy = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
         for q, u, tag in ((0.25, np.eye(4, dtype=complex), "q25_id"),
                           (0.5, np.eye(4, dtype=complex), "q50_id"),
@@ -205,10 +204,8 @@ def gibbs_preserving_gate_set(model: ThermalModel, connectivity: str = "all-to-a
 
 
 def validate_gibbs_gate_set(gate_set: GateSet, model: ThermalModel):
-    from .gates import edges as _edges
-
     for gate in gate_set.gates:
-        for (i, j) in _edges(gate_set.connectivity, model.n):
+        for (i, j) in edges(gate_set.connectivity, model.n):
             if not gibbs_check(gate, model.gamma_pair(i, j)):
                 raise ValueError(f"gate {gate.name!r} does not preserve the Gibbs weight on edge ({i},{j})")
     for gate, (i, j) in gate_set.placed_extra:
@@ -234,8 +231,6 @@ def erasure_search(
     gate_set: GateSet,
     r: int,
     eta: float,
-    *,
-    budget: int | None = None,
 ) -> ErasureResult:
     """Minimal-work protocol of <= r computations followed by RESETs reaching
     <0^n| rho' |0^n> >= eta.  Exhaustive over the finite gate set."""
@@ -260,7 +255,7 @@ def erasure_search(
     def score(traces, masks):
         return np.where(traces[0] >= eta_eff, work[masks], math.inf)
 
-    best = minimize_over_effects(gate_set, n, r, [rho.matrix], score, budget=budget)
+    best = minimize_over_effects(gate_set, n, r, [rho.matrix], score)
     if not math.isfinite(best.value):
         raise ValueError("no protocol reaches the requested success probability")
     reset_set = tuple(i for i in range(n) if not (best.mask_bits >> (n - 1 - i)) & 1)
@@ -369,7 +364,6 @@ def g_lower_bound(
     eta: float,
     m_max: int,
     *,
-    budget: int | None = None,
     threads: int = 1,
 ) -> AncillaBound:
     """min over m1, m2 <= m_max of H_H^{r+m1+m2, eta}(rho x |0^m1> x pi^m2)
@@ -384,9 +378,7 @@ def g_lower_bound(
             for _ in range(m2):
                 sigma = np.kron(sigma, np.eye(2, dtype=complex) / 2.0)
             tilde = DensityOperator(register(rho.n + m1 + m2), sigma)
-            est = cx_entropy(
-                tilde, gate_set, r + m1 + m2, eta, budget=budget, threads=threads
-            )
+            est = cx_entropy(tilde, gate_set, r + m1 + m2, eta, threads=threads)
             candidate = est.value - m2 * LOG2
             if candidate < best[0]:
                 best = (candidate, m1, m2)
@@ -410,8 +402,6 @@ def compression_search(
     gate_set: GateSet,
     r: int,
     eps: float,
-    *,
-    budget: int | None = None,
 ) -> CompressionResult:
     """Least m such that some <= r-gate unitary compresses rho onto m qubits
     with fidelity^2 >= 1 - eps; exhaustive, so exact."""
@@ -426,7 +416,7 @@ def compression_search(
     def score(traces, masks):
         return np.where(traces[0] >= target, kept[masks], math.inf)
 
-    best = minimize_over_effects(gate_set, n, r, [rho.matrix], score, budget=budget)
+    best = minimize_over_effects(gate_set, n, r, [rho.matrix], score)
     circuit = best.circuit
     kept_qubits = tuple(i for i in range(n) if not (best.mask_bits >> (n - 1 - i)) & 1)
     sigma = rho.matrix

@@ -258,7 +258,7 @@ def test_criterion_05_property_suite():
 def test_criterion_06_random_circuit_transition():
     shallow = transition_scan(3, [1, 2], 2, 1.0, GS, 15, 606)
     shallow_ok = all(row.zero_certified_fraction == 1.0 for row in shallow)
-    vals = [_transition_sample(3, 100, 2, 1.0, GS, "finite", 606, s, None)[1]
+    vals = [_transition_sample(3, 100, 2, 1.0, GS, "finite", 606, s)[1]
             for s in range(20)]
     high = sum(1 for v in vals if v >= 2 * LOG2 - 1e-9)
     deep_ok = high >= 18  # >= 90% of 20

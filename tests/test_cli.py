@@ -8,6 +8,7 @@ import pytest
 from cxtherm import cxentropy
 from cxtherm.cli import dispatch, load_state, load_state_file, save_state_file
 from cxtherm.errors import ConfigError
+from cxtherm.gates import I2, GateSet, Z, channel_gate, format_gate_set
 from cxtherm.registers import ghz_state, maximally_mixed, zero_state
 from cxtherm.reporting import config_hash, write_csv, write_json
 from cxtherm.sampling import sample_density
@@ -94,6 +95,16 @@ class TestDispatch:
         res = run_cli(["cx-entropy", "--state", "ghz3", "--r", "3",
                        "--eta", "0.999"], tmp_path, CXTHERM_BUDGET="50")
         assert res.returncode == 3
+
+    def test_decouple_channel_gate_set_exit_2(self, tmp_path, run_cli):
+        dephase = GateSet("finite", (
+            channel_gate("dephase_a", [np.eye(4) / math.sqrt(2.0), np.kron(Z, I2) / math.sqrt(2.0)]),
+        ))
+        path = tmp_path / "dephase.gates"
+        path.write_text(format_gate_set(dephase))
+        res = run_cli(["decouple", "--n", "3", "--gate-set", str(path)], tmp_path)
+        assert res.returncode == 2
+        assert "decoupling is defined for unitary computations" in res.stderr
 
     def test_failed_witness_exit_5(self, monkeypatch, capsys):
         def fail(effect, rho, eta):

@@ -354,9 +354,19 @@ class TestHeuristic:
     def test_r0_matches_enumeration(self, gate_set):
         cont = continuous_su4_gate_set()
         rho = rand_state(2, 22)
-        heur = cx_entropy(rho, cont, 0, 0.8, solver="heuristic")
+        heur = cx_entropy(rho, cont, 0, 0.8)
         exact = cx_entropy(rho, gate_set, 0, 0.8)
         assert heur.value == pytest.approx(exact.value, abs=1e-10)
+
+    @pytest.mark.parametrize("connectivity", ["all-to-all", "chain"])
+    def test_one_qubit_places_no_gate(self, connectivity):
+        # with no edge to place a gate on, M_r = M_0 for every r
+        cont = continuous_su4_gate_set(connectivity)
+        rho = DensityOperator(register(1), np.diag([0.7, 0.3]))
+        at_r0 = cx_entropy(rho, cont, 0, 0.6).value
+        assert at_r0 == pytest.approx(-math.log(0.7), abs=1e-12)
+        for r in (1, 2):
+            assert cx_entropy(rho, cont, r, 0.6).value == at_r0
 
     def test_ghz2_single_gate_preparable(self):
         cont = continuous_su4_gate_set()

@@ -20,7 +20,7 @@ from cxtherm.experiments import (
     worst_case_gate_bound,
 )
 from cxtherm.entropies import mutual_information, von_neumann
-from cxtherm.gates import expand_operator
+from cxtherm.gates import I2, GateSet, Z, channel_gate, expand_operator
 from cxtherm.registers import (
     DensityOperator,
     ghz_state,
@@ -210,7 +210,7 @@ class TestDecoupling:
         a = rand_state(1, 1).matrix
         br = random_density_matrix(4, 4, task_rng(2))
         rho = DensityOperator(register(3), np.kron(a, br))
-        assert _chain_rule_slack(rho, 1, 1, gate_set, 1, 0.9, None) >= -1e-9
+        assert _chain_rule_slack(rho, 1, 1, gate_set, 1, 0.9) >= -1e-9
 
     def test_von_neumann_analogue(self):
         from cxtherm.registers import partial_trace
@@ -247,6 +247,13 @@ class TestDecoupling:
         assert not res_above.success
         res_below = decoupling_simulate(rho, 1, gate_set, 0, 2, 0, 1.0, 0.2, 0)
         assert res_below.success
+
+    def test_channel_gate_set_rejected(self):
+        dephase = GateSet("finite", (
+            channel_gate("dephase_a", [np.eye(4) / math.sqrt(2.0), np.kron(Z, I2) / math.sqrt(2.0)]),
+        ))
+        with pytest.raises(ValueError, match="decoupling is defined for unitary computations"):
+            decoupling_simulate(rand_state(3, 5), 2, dephase, 1, 2, 1, 0.9, 0.25, 0)
 
     def test_bound_k_reported_conditional(self, gate_set):
         rho = rand_state(2, 6)

@@ -30,13 +30,20 @@ from cxtherm.gates import (
     Z,
     channel_gate,
     default_gate_set,
-    enumerate_effects,
     placed_alphabet,
     unitary_gate,
 )
-from cxtherm.registers import DensityOperator, HermitianOperator, partial_trace, register
-from cxtherm.sampling import random_density_matrix, task_rng
-from cxtherm.search import ReachableSet, effect_set, minimize_over_effects
+from cxtherm.registers import DensityOperator, HermitianOperator, ghz_state, partial_trace, register
+from cxtherm.sampling import random_density_matrix, sample_haar_unitary, task_rng
+from cxtherm.search import (
+    ReachableSet,
+    approx_state_complexity,
+    circuit_complexity,
+    circuit_count,
+    effect_set,
+    enumerate_effects,
+    minimize_over_effects,
+)
 from cxtherm.thermo import ThermalModel, compression_search, erasure_search, gibbs_preserving_gate_set
 
 from oracles import dfs_enumerate_effects
@@ -174,12 +181,39 @@ def test_equal_content_shares_one_entry_and_names_do_not():
     assert cx_entropy(rho, b, 2, 0.9).solver["cache_hit"]
 
 
-def test_budget_is_checked_before_any_level_is_built():
-    gate_set = GateSet("finite", DEFAULT.gates[:3], "chain")  # content no other test uses
-    effects = effect_set(gate_set, 3)
+# content no other test uses, so no level of it is built before these queries
+BUDGET_SET = GateSet("finite", DEFAULT.gates[:9], "chain")
+BUDGET_QUERIES = {
+    "cx_entropy": lambda gs, rho: cx_entropy(rho, gs, 3, 0.9),
+    "cx_relative_entropy": lambda gs, rho: cx_relative_entropy(
+        rho, HermitianOperator(rho.register, np.eye(8)), gs, 3, 0.9),
+    "conditional_cx_entropy": lambda gs, rho: conditional_cx_entropy(
+        rho, ConditionalSpec(("q0",), ("q1", "q2"), 3, 0.9), gs),
+    "success_probability": lambda gs, rho: success_probability(rho, gs, 3, math.log(2.0)),
+    "distinguishability_beta": lambda gs, rho: distinguishability_beta(rho, rand_state(3, 804), gs, 3),
+    "erasure_search": lambda gs, rho: erasure_search(rho, ThermalModel.degenerate(3), gs, 3, 0.9),
+    "compression_search": lambda gs, rho: compression_search(rho, gs, 3, 0.1),
+    "enumerate_effects": lambda gs, rho: list(enumerate_effects(gs, 3, 3)),
+    "circuit_complexity": lambda gs, rho: circuit_complexity(gs, sample_haar_unitary(8, 5), 3),
+    "approx_state_complexity": lambda gs, rho: approx_state_complexity(ghz_state(3), gs, 0.0, 3),
+}
+
+
+@pytest.mark.parametrize("entry", list(BUDGET_QUERIES))
+def test_budget_is_checked_before_any_level_is_built(entry, monkeypatch):
+    # CXTHERM_BUDGET admits the circuits of at most one gate
+    monkeypatch.setenv("CXTHERM_BUDGET", str(circuit_count(len(placed_alphabet(BUDGET_SET, 3)), 1)))
+    built = []
+    grow = ReachableSet._grow
+
+    def recording_grow(reach):
+        built.append(len(reach.ends))
+        grow(reach)
+
+    monkeypatch.setattr(ReachableSet, "_grow", recording_grow)
     with pytest.raises(BudgetExceededError):
-        cx_entropy(rand_state(3, 802), gate_set, 3, 0.9, budget=50)
-    assert effects.ends == [8]
+        BUDGET_QUERIES[entry](BUDGET_SET, rand_state(3, 802))
+    assert all(level <= 1 for level in built)
 
 
 @pytest.mark.parametrize("n, r", [(2, 2), (4, 3)])  # M_2 on 4 qubits is scored in several blocks
