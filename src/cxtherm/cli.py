@@ -48,7 +48,8 @@ _COMMON = {
     "epsilon": (float, 0.01, "compression error tolerance"),
     "seed": (int, 0, "master seed"),
     "samples": (int, 20, "number of samples/trials"),
-    "threads": (int, 1, "worker threads"),
+    "threads": (int, 1, "worker threads for sampled trials and continuous-gate "
+                        "restarts; exact queries run in one thread"),
     "output": (str, None, "output file (.csv or .json)"),
     "units": (str, "nats", "nats or bits"),
     "reduced": (bool, False, "use the reduced (unnormalized) variant"),
@@ -371,8 +372,6 @@ def _cmd_entangle(cfg: RunConfig) -> int:
 def _cmd_quench(cfg: RunConfig) -> int:
     start, stop, count = (float(x) for x in str(cfg.times).split(":"))
     times = list(np.linspace(start, stop, int(count)))
-    if times[0] == 0.0:
-        times[0] = 0.0
     trace = experiments.ising_quench(cfg.n, cfg.coupling, cfg.transverse, times)
     scale = _unit_factor(cfg.units)
     rows = [

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropies import hyp_relative_entropy
 from .gates import (
     GateSet,
     expand_operator,
@@ -295,8 +294,3 @@ def hypothesis_test_witness(
     if abs(q * accept - eta) > 1e-10 or false_accept > delta + 1e-10:
         raise AssertionError("witness failed numerical re-verification")
     return q_effect, q
-
-
-def hyp_entropy_value(rho: DensityOperator, eta: float) -> float:
-    identity = HermitianOperator(rho.register, np.eye(rho.dim))
-    return -hyp_relative_entropy(rho, identity, eta).value

@@ -8,7 +8,6 @@ splitting, and returns plain dataclasses ready for CSV/JSON emission.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +18,8 @@ from .cxentropy import (
     conditional_cx_entropy,
     cx_entropy,
     cx_relative_entropy,
-    hyp_entropy_value,
 )
-from .entropies import binary_entropy, mutual_information, von_neumann
+from .entropies import binary_entropy, von_neumann
 from .gates import (
     Circuit,
     GateSet,
@@ -45,9 +43,6 @@ from .registers import (
 from .sampling import haar_unitary, random_density_matrix, task_rng
 
 LOG2 = math.log(2.0)
-# ising_quench halves its finite-difference step until two estimates agree
-# to this
-QUENCH_DERIVATIVE_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +87,8 @@ def brickwork_circuit(
 @dataclass(frozen=True)
 class TransitionRow:
     """Exact entropies for finite gate sets; a (lower, upper) bound pair when
-    the gate family is continuous (then mean/min refer to the upper side)."""
+    the gate family is continuous (then mean/min refer to the upper side; the
+    lower side is H_hyp of the pure output state, which is exactly 0)."""
 
     depth: int
     gate_count: int
@@ -114,22 +110,22 @@ def _transition_sample(
     vec[0] = 1.0
     for pg in circuit.placed():
         vec = pg.apply_vector(vec)
-    psi = state_from_vector(vec)
 
     certified = False
     if circuit.complexity <= r:
         inv = inverse_circuit(circuit, gate_set if source == "finite" else None)
         if inv is not None:
             witness = pullback_effect(inv, simple_effect_from_bits(n, 2 ** n - 1))
-            accept = float(np.trace(witness.matrix @ psi.matrix).real)
+            accept = float(np.vdot(vec, witness.matrix @ vec).real)
             certified = accept >= eta - 1e-10
     if source == "finite":
-        est = cx_entropy(psi, gate_set, r, eta)
+        est = cx_entropy(state_from_vector(vec), gate_set, r, eta)
         return certified, est.value, est.value, "exact"
-    # continuous gates: certificate upper bound, unrestricted-entropy lower
+    # continuous gates: the certificate gives the upper bound; the lower bound
+    # H_hyp^eta(psi) is 0, since tr Q >= <psi|Q|psi> >= eta for every feasible
+    # Q, with equality at Q = eta |psi><psi|
     upper = 0.0 if certified else n * LOG2
-    lower = hyp_entropy_value(psi, eta)
-    return certified, upper, lower, "upper_bound"
+    return certified, upper, 0.0, "upper_bound"
 
 
 def transition_scan(
@@ -144,6 +140,8 @@ def transition_scan(
     source: str = "finite",
     threads: int = 1,
 ) -> list[TransitionRow]:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rows = []
     for depth in depths:
         gate_count = sum(len(layer) for layer in brickwork_layers(n, depth))
@@ -175,10 +173,29 @@ def entanglement_E(rho: DensityOperator) -> float:
     if n < 2:
         raise ValueError("the chain entanglement measure needs n >= 2")
     labels = rho.register.labels
-    total = 0.0
+    marginals = sum(
+        von_neumann(partial_trace(rho, labels[:j])) + von_neumann(partial_trace(rho, labels[j:]))
+        for j in range(1, n)
+    )
+    return marginals / (n - 1) - von_neumann(rho)
+
+
+def pure_chain_entanglement(psi: np.ndarray, dpsi: np.ndarray, n: int) -> tuple[float, float]:
+    """E of the pure chain state psi and its rate along dpsi = d psi/dt: cut j
+    has I(A_j:B_j) = 2 S(A_j) from the Schmidt weights p_k of M =
+    psi.reshape(2^j, -1), and dS(A_j)/dt = -sum_k log(p_k) p'_k with
+    p'_k = 2 Re <u_k| dM M^dag |u_k>.  Only 0 < p_k < 1 enter, so E >= 0."""
+    e = de = 0.0
     for j in range(1, n):
-        total += mutual_information(rho, list(labels[:j]))
-    return total / (n - 1)
+        m = psi.reshape(2 ** j, -1)
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        p = s * s
+        dp = 2.0 * np.einsum("ik,ik->k", u.conj(), dpsi.reshape(m.shape) @ (m.conj().T @ u)).real
+        keep = (p > 0.0) & (p < 1.0)
+        log_p = np.log(p[keep])
+        e -= float(p[keep] @ log_p)
+        de -= float(dp[keep] @ log_p)
+    return 2.0 * e / (n - 1), 2.0 * de / (n - 1)
 
 
 def gate_bound_nu(nu: float, n: int) -> float:
@@ -210,6 +227,8 @@ def continuity_trial(
 ) -> ContinuityReport:
     """Random (state, placed nearest-neighbor gate) trials checking the coarse
     8 log2/(n-1) bound and its entangling-power refinement."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
     def one(t: int):
         rng = task_rng(seed, t)
@@ -300,10 +319,13 @@ def ising_quench(
     initial: str = "ones",
 ) -> QuenchTrace:
     """Exact evolution under the periodic transverse-field Ising chain with
-    the incremental-entangling bound 22 log2 (n-1) ||h|| on dE/dt."""
+    the incremental-entangling bound 22 log2 (n-1) ||h|| on dE/dt.  E and
+    dE/dt come exactly from the Schmidt values of psi(t) and -i H psi(t)."""
     if n > 10:
         raise ValueError("exact quench evolution capped at n = 10")
     ts = [float(t) for t in times]
+    if not ts:
+        raise ValueError("times must hold at least one time point")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("times must be strictly increasing")
     bond = ising_bond(coupling, transverse)
@@ -321,29 +343,11 @@ def ising_quench(
         raise ValueError(f"unknown initial state {initial!r}")
     coeff = v.conj().T @ psi0
 
-    def e_at(t: float) -> float:
-        psi = v @ (np.exp(-1j * w * t) * coeff)
-        return entanglement_E(state_from_vector(psi))
-
-    values = [e_at(t) for t in ts]
-    gap = min(b - a for a, b in zip(ts, ts[1:])) if len(ts) > 1 else 1e-2
-
-    def derivative(t: float) -> float:
-        step = gap
-        prev = (e_at(t + step) - e_at(max(t - step, 0.0))) / (step + min(step, t))
-        for _ in range(20):
-            step /= 2.0
-            cur = (e_at(t + step) - e_at(max(t - step, 0.0))) / (step + min(step, t))
-            if abs(cur - prev) <= QUENCH_DERIVATIVE_TOL:
-                return cur
-            prev = cur
-        warnings.warn("quench derivative estimate did not stabilize; step too coarse")
-        return prev
-
-    derivs = [derivative(t) for t in ts]
+    evolved = [np.exp(-1j * w * t) * coeff for t in ts]
+    values, derivs = zip(*(pure_chain_entanglement(v @ c, v @ (-1j * w * c), n) for c in evolved))
     bond_norm = float(np.linalg.norm(bond, ord=2))
     bound = 22.0 * LOG2 * (n - 1) * bond_norm
-    return QuenchTrace(tuple(ts), tuple(values), tuple(derivs), bound, bond_norm)
+    return QuenchTrace(tuple(ts), values, derivs, bound, bond_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +387,8 @@ def decoupling_probe(
     """Random probes of the conjectured chain rule
     H(B|R) <= H(AB|R) + n_A log 2; a negative slack below -1e-8 is serialized
     as a candidate counterexample."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     na, nb, nr = dims
     n = na + nb + nr
 

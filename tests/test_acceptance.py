@@ -15,7 +15,6 @@ from cxtherm.cxentropy import (
     cx_entropy,
     cx_relative_entropy,
     distinguishability_beta,
-    hyp_entropy_value,
 )
 from cxtherm.entropies import hyp_relative_entropy
 from cxtherm.experiments import (

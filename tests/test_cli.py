@@ -115,6 +115,18 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "internal error" in err and "config error" not in err
 
+    @pytest.mark.parametrize("args, name", [
+        (["transition", "--samples", "0"], "samples"),
+        (["quench", "--times", "0:1:0"], "times"),
+        (["entangle", "--samples", "0"], "trials"),
+        (["probe-conjecture", "--samples", "0"], "trials"),
+    ])
+    def test_empty_counts_and_grids_exit_2(self, args, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and name in err
+
     def test_probe_conjecture_exit_codes(self, tmp_path, run_cli):
         res = run_cli(["probe-conjecture", "--samples", "5", "--r", "1",
                        "--eta", "0.9"], tmp_path)

@@ -10,11 +10,10 @@ from cxtherm.cxentropy import (
     cx_entropy,
     cx_relative_entropy,
     distinguishability_beta,
-    hyp_entropy_value,
     hypothesis_test_witness,
     success_probability,
 )
-from cxtherm.entropies import hyp_relative_entropy
+from cxtherm.entropies import hyp_entropy, hyp_relative_entropy
 from cxtherm.experiments import brickwork_circuit
 from cxtherm.gates import continuous_su4_gate_set, default_gate_set
 from cxtherm.registers import (
@@ -159,7 +158,7 @@ class TestMonotonicity:
     def test_sandwich(self, gate_set):
         for seed in range(5):
             rho = rand_state(3, seed)
-            h_low = hyp_entropy_value(rho, 0.9)
+            h_low = hyp_entropy(rho, 0.9).value
             h_cx = cx_entropy(rho, gate_set, 1, 0.9).value
             assert h_low - 1e-9 <= h_cx <= 3 * LOG2 + 1e-9
 
@@ -348,7 +347,7 @@ class TestHeuristic:
         rho = rand_state(2, 21)
         est = cx_entropy(rho, cont, 1, 0.9, restarts=4, iterations=25, seed=3)
         assert est.certainty == "upper_bound"
-        assert est.value >= hyp_entropy_value(rho, 0.9) - 1e-9
+        assert est.value >= hyp_entropy(rho, 0.9).value - 1e-9
         assert est.value <= 2 * LOG2 + 1e-9
 
     def test_r0_matches_enumeration(self, gate_set):

@@ -182,9 +182,11 @@ class TestHypTest:
         # is infinite.  The dual comes from finite mu, so with Gamma coupling
         # supp(rho) to its kernel it lies strictly below beta*: in D terms
         # dual >= primal, by a small but nonzero gap.
-        for seed in range(5):
-            rho = rand_state(2, 40 + seed, rank=2)
-            gamma = rand_psd(2, 50 + seed)
+        cases = [(2, 2, seed) for seed in range(5)]
+        cases += [(n, rank, seed) for n in (3, 4) for rank in range(2, 6) for seed in range(3)]
+        for n, rank, seed in cases:
+            rho = rand_state(n, 40 + seed, rank=rank)
+            gamma = rand_psd(n, 50 + seed)
             res = hyp_relative_entropy(rho, gamma, rho.trace())
             assert math.isfinite(res.dual_value)
             assert 0.0 < res.dual_value - res.primal_value < 1e-6

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cxtherm.experiments import (
     gate_bound_nu,
     ising_bond,
     ising_quench,
+    pure_chain_entanglement,
     transition_scan,
     worst_case_gate_bound,
 )
@@ -25,9 +27,15 @@ from cxtherm.registers import (
     DensityOperator,
     ghz_state,
     register,
+    state_from_vector,
     zero_state,
 )
-from cxtherm.sampling import random_density_matrix, sample_haar_unitary, task_rng
+from cxtherm.sampling import (
+    haar_state_vector,
+    random_density_matrix,
+    sample_haar_unitary,
+    task_rng,
+)
 
 LOG2 = math.log(2.0)
 
@@ -95,6 +103,20 @@ class TestTransition:
         rows = transition_scan(3, [1], 2, 0.9, gate_set, 3, 9)
         assert rows[0].mean_entropy_lower == rows[0].mean_entropy
 
+    def test_haar_lower_bound_is_exactly_zero_without_a_solver(self, monkeypatch):
+        # H_hyp of a pure state is 0, so no Neyman-Pearson solve is needed
+        import cxtherm.entropies
+        from cxtherm.gates import continuous_su4_gate_set
+
+        def fail(*args, **kwargs):
+            raise AssertionError("hyp_relative_entropy called")
+
+        monkeypatch.setattr(cxtherm.entropies, "hyp_relative_entropy", fail)
+        rows = transition_scan(
+            4, [0, 2, 6], 2, 0.9, continuous_su4_gate_set(), 3, 11, source="haar_su4"
+        )
+        assert all(row.mean_entropy_lower == 0.0 for row in rows)
+
 
 class TestEntanglementMeasure:
     def test_product_state_zero(self):
@@ -117,6 +139,41 @@ class TestEntanglementMeasure:
         for j in (1, 2, 3):
             cap = 2 * min(j, 4 - j) * LOG2
             assert mutual_information(rho, [f"q{i}" for i in range(j)]) <= cap + 1e-9
+
+
+class TestPureChainEntanglement:
+    @staticmethod
+    def e_of(vec):
+        return pure_chain_entanglement(vec, np.zeros_like(vec), int(math.log2(vec.size)))[0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_mixed_route_on_haar_states(self, n):
+        for seed in range(4):
+            vec = haar_state_vector(2 ** n, task_rng(900 + n, seed))
+            assert self.e_of(vec) == pytest.approx(
+                entanglement_E(state_from_vector(vec)), abs=1e-10
+            )
+
+    def test_matches_mixed_route_on_ghz_and_product_states(self):
+        for n in (2, 3, 4, 5):
+            ghz = np.zeros(2 ** n, dtype=complex)
+            ghz[0] = ghz[-1] = 1.0 / math.sqrt(2.0)
+            assert self.e_of(ghz) == pytest.approx(2 * LOG2, abs=1e-10)
+            assert self.e_of(ghz) == pytest.approx(entanglement_E(ghz_state(n)), abs=1e-10)
+            product = np.full(2 ** n, 2.0 ** (-n / 2.0), dtype=complex)
+            assert self.e_of(product) == pytest.approx(
+                entanglement_E(state_from_vector(product)), abs=1e-10
+            )
+
+    def test_product_states_never_negative(self):
+        for seed in range(20):
+            rng = task_rng(77, seed)
+            vec = np.ones(1, dtype=complex)
+            for _ in range(5):
+                vec = np.kron(vec, haar_state_vector(2, rng))
+            dvec = haar_state_vector(vec.size, rng)
+            e, _ = pure_chain_entanglement(vec, dvec, 5)
+            assert e >= 0.0
 
 
 class TestContinuity:
@@ -195,6 +252,23 @@ class TestQuench:
     def test_times_must_increase(self):
         with pytest.raises(ValueError):
             ising_quench(3, 1.0, 1.0, [0.0, 0.0])
+
+    @pytest.mark.parametrize("initial", ["ones", "plus"])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_derivative_matches_central_difference(self, n, initial):
+        # the grid is coarse, so the derivative cannot come from it
+        times = [0.0, 1e-3, 0.4, 2.9]
+        h = 1e-5
+        trace = ising_quench(n, 1.0, 1.0, times, initial=initial)
+        for t, d in zip(times, trace.derivatives):
+            lo, hi = ising_quench(n, 1.0, 1.0, [t - h, t + h], initial=initial).values
+            assert d == pytest.approx((hi - lo) / (2 * h), abs=1e-6)
+
+    def test_coarse_grid_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = ising_quench(6, 1.0, 1.0, [0.0, 3.0])
+        assert len(trace.derivatives) == 2
 
 
 class TestDecoupling:
