@@ -46,17 +46,6 @@ class EntropyEstimate:
     def in_bits(self) -> float:
         return self.value / LOG2
 
-    def record(self) -> dict:
-        """Plain serializable summary: value, certainty, solver, and the
-        witness circuit (gate names + edges) when one is attached."""
-        out = {"value": self.value, "certainty": self.certainty, "solver": dict(self.solver)}
-        if self.witness is not None and self.witness.provenance is not None:
-            circuit, simple = self.witness.provenance
-            out["witness_circuit"] = [[g.name, list(e)] for g, e in circuit.ops]
-            if simple is not None:
-                out["witness_mask"] = list(simple.mask)
-        return out
-
 
 @dataclass(frozen=True)
 class ConditionalSpec:

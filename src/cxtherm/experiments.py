@@ -227,6 +227,8 @@ def continuity_trial(
 ) -> ContinuityReport:
     """Random (state, placed nearest-neighbor gate) trials checking the coarse
     8 log2/(n-1) bound and its entangling-power refinement."""
+    if n < 2:
+        raise ValueError(f"n must be at least 2 for the chain measure, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
@@ -321,8 +323,8 @@ def ising_quench(
     """Exact evolution under the periodic transverse-field Ising chain with
     the incremental-entangling bound 22 log2 (n-1) ||h|| on dE/dt.  E and
     dE/dt come exactly from the Schmidt values of psi(t) and -i H psi(t)."""
-    if n > 10:
-        raise ValueError("exact quench evolution capped at n = 10")
+    if not 2 <= n <= 10:
+        raise ValueError(f"n must lie in [2, 10] for the exact quench, got {n}")
     ts = [float(t) for t in times]
     if not ts:
         raise ValueError("times must hold at least one time point")
@@ -443,8 +445,12 @@ def decoupling_simulate(
     The reported qubit-count bound assumes the conjectured chain rule and is
     tagged as such.
     """
-    if r1 < r0:
-        raise ValueError("the referee budget r1 must be >= Alice's r0")
+    if not 1 <= n_a < rho_ar.n:
+        raise ValueError(f"n_a must lie in [1, n - 1] to leave a reference, got {n_a} on n = {rho_ar.n}")
+    if not 0 <= k <= n_a:
+        raise ValueError(f"k must lie in [0, n_a = {n_a}], got {k}")
+    if not 0 <= r0 <= r1:
+        raise ValueError(f"r0 must lie in [0, r1 = {r1}] (the referee's budget), got {r0}")
     if not gate_set.is_unitary_only:
         raise ValueError("decoupling is defined for unitary computations")
     labels = rho_ar.register.labels

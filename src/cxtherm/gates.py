@@ -20,9 +20,6 @@ import numpy as np
 from .registers import DensityOperator, PovmEffect, register
 
 MATRIX_HASH_DECIMALS = 10
-# Choi eigenvalues below this fraction of the largest carry no Kraus operator
-KRAUS_RANK_TOL = 1e-12
-CPTP_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -437,38 +434,12 @@ def entangling_power(u: np.ndarray) -> tuple[float, float]:
 # channels
 
 
-def choi_matrix(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    vs = [np.asarray(k, dtype=complex).reshape(-1) for k in kraus]
-    return sum(np.outer(v, v.conj()) for v in vs)
+def gibbs_check(gate: Gate, gamma_pair: np.ndarray) -> bool:
+    """True iff the gate leaves the two-qubit Gibbs weight invariant.
 
-
-def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
-    d = int(round(math.sqrt(choi.shape[0])))
-    w, v = np.linalg.eigh(choi)
-    out = []
-    for wi, col in zip(w, v.T):
-        if wi > KRAUS_RANK_TOL * max(w.max(), 1e-300):
-            out.append(math.sqrt(wi) * col.reshape(d, d))
-    return out
-
-
-def is_cptp(kraus: Sequence[np.ndarray]) -> bool:
-    c = choi_matrix(kraus)
-    if np.linalg.eigvalsh(c).min() < -CPTP_TOL:
-        return False
-    d = int(round(math.sqrt(c.shape[0])))
-    tp = sum(np.asarray(k).conj().T @ np.asarray(k) for k in kraus)
-    return bool(np.linalg.norm(tp - np.eye(d), ord=2) <= CPTP_TOL)
-
-
-def gibbs_check(channel: Gate | Sequence[np.ndarray], gamma_pair: np.ndarray) -> bool:
-    """True iff the two-qubit CPTP map leaves the Gibbs weight invariant."""
-    if isinstance(channel, Gate):
-        kraus = (channel.unitary,) if channel.is_unitary else channel.kraus
-    else:
-        kraus = tuple(np.asarray(k, dtype=complex) for k in channel)
-    if not is_cptp(kraus):
-        raise ValueError("input map is not CPTP")
+    The gate is CPTP already: its Kraus operators are trace-preserving (checked
+    when the `Gate` was built) and any Kraus list is completely positive."""
+    kraus = (gate.unitary,) if gate.is_unitary else gate.kraus
     gamma_pair = np.asarray(gamma_pair, dtype=complex)
     image = sum(k @ gamma_pair @ k.conj().T for k in kraus)
     w = np.linalg.eigvalsh(image - gamma_pair)

@@ -344,6 +344,8 @@ def minimize_over_effects(
     candidates' masks shaped (rows, 1).  It returns the scores, broadcastable
     to that shape; np.inf marks an infeasible candidate.
     """
+    if r < 0:
+        raise ValueError(f"r must be at least 0, got {r}")
     effects = effect_set(gate_set, n)
     check_budget(len(effects.alphabet), r)
     rows, masks, built = effects.upto(max(r - 1, 0))

@@ -204,11 +204,8 @@ def gibbs_preserving_gate_set(model: ThermalModel, connectivity: str = "all-to-a
 
 
 def validate_gibbs_gate_set(gate_set: GateSet, model: ThermalModel):
-    for gate in gate_set.gates:
-        for (i, j) in edges(gate_set.connectivity, model.n):
-            if not gibbs_check(gate, model.gamma_pair(i, j)):
-                raise ValueError(f"gate {gate.name!r} does not preserve the Gibbs weight on edge ({i},{j})")
-    for gate, (i, j) in gate_set.placed_extra:
+    placed = [(g, e) for g in gate_set.gates for e in edges(gate_set.connectivity, model.n)]
+    for gate, (i, j) in placed + list(gate_set.placed_extra):
         if not gibbs_check(gate, model.gamma_pair(i, j)):
             raise ValueError(f"gate {gate.name!r} does not preserve the Gibbs weight on edge ({i},{j})")
 

@@ -120,12 +120,21 @@ class TestDispatch:
         (["quench", "--times", "0:1:0"], "times"),
         (["entangle", "--samples", "0"], "trials"),
         (["probe-conjecture", "--samples", "0"], "trials"),
+        (["erasure", "--r", "-1"], "r"),
+        (["compress", "--r", "-1"], "r"),
+        (["entangle", "--n", "1"], "n"),
+        (["quench", "--n", "1"], "n"),
+        (["decouple", "--n", "1"], "n_a"),
+        (["decouple", "--n", "3", "--k", "5"], "k"),
+        (["decouple", "--n", "3", "--k", "-1"], "k"),
+        (["decouple", "--n", "3", "--r0", "-1"], "r0"),
+        (["decouple", "--n", "3", "--r0", "3"], "r0"),
     ])
     def test_empty_counts_and_grids_exit_2(self, args, name, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert dispatch(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error") and name in err
+        assert err.startswith("config error") and f"{name} must" in err
 
     def test_probe_conjecture_exit_codes(self, tmp_path, run_cli):
         res = run_cli(["probe-conjecture", "--samples", "5", "--r", "1",

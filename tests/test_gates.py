@@ -13,15 +13,14 @@ from cxtherm.gates import (
     GateSet,
     apply_circuit,
     channel_gate,
-    choi_matrix,
     default_gate_set,
+    edges,
     entangling_power,
     expand_operator,
     expand_two_qubit,
     gibbs_check,
     inverse_circuit,
     iter_simple_effects,
-    kraus_from_choi,
     mask_matrix,
     parse_gate_set,
     placed_alphabet,
@@ -30,9 +29,9 @@ from cxtherm.gates import (
     unitary_gate,
 )
 from cxtherm.registers import DensityOperator, ghz_state, register, zero_state
-from cxtherm.sampling import haar_unitary, random_density_matrix, sample_haar_unitary, task_rng
+from cxtherm.sampling import random_density_matrix, sample_haar_unitary, task_rng
 from cxtherm.search import approx_state_complexity, circuit_complexity, circuit_count, enumerate_effects
-from cxtherm.thermo import ThermalModel
+from cxtherm.thermo import ThermalModel, gibbs_preserving_gate_set
 
 from oracles import bell_by_hand, brute_force_state_distance, entangling_power_grid_oracle, iter_circuits
 
@@ -289,7 +288,7 @@ class TestGibbsCheck:
     def test_energy_conserving_unitary(self):
         model = ThermalModel((0.5, 1.0))
         u = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
-        assert gibbs_check([u], model.gamma_pair(0, 1))
+        assert gibbs_check(unitary_gate("signs", u), model.gamma_pair(0, 1))
 
     def test_thermalizing_mixture(self):
         model = ThermalModel((0.5, 1.0))
@@ -302,28 +301,65 @@ class TestGibbsCheck:
             for a in range(4):
                 for b in range(4):
                     kraus.append(math.sqrt(q * w[a]) * np.outer(v[:, a], np.eye(4)[:, b]))
-            assert gibbs_check(kraus, model.gamma_pair(0, 1))
+            assert gibbs_check(channel_gate("thermal", kraus), model.gamma_pair(0, 1))
 
     def test_swap_of_different_energies_fails(self):
         model = ThermalModel((0.5, 1.0))
-        assert not gibbs_check([SWAP], model.gamma_pair(0, 1))
+        assert not gibbs_check(unitary_gate("swap", SWAP), model.gamma_pair(0, 1))
 
     def test_non_cptp_rejected(self):
         with pytest.raises(ValueError):
-            gibbs_check([np.eye(4) * 2.0], np.eye(4))
+            channel_gate("double", [2 * np.eye(4)])
 
+    @staticmethod
+    def _apply_on_edge(k4, sigma, n, i, j):
+        """K sigma K^dag with the 4x4 K acting on qubits (i, j) of n, by
+        contracting tensor axes of sigma (no embedded matrix is built)."""
+        k = np.asarray(k4).reshape(2, 2, 2, 2)
+        t = np.tensordot(k, sigma.reshape((2,) * (2 * n)), axes=([2, 3], [i, j]))
+        t = np.moveaxis(t, [0, 1], [i, j])
+        t = np.tensordot(t, k.conj(), axes=([n + i, n + j], [2, 3]))
+        t = np.moveaxis(t, [-2, -1], [n + i, n + j])
+        return t.reshape(2 ** n, 2 ** n)
 
-class TestChannels:
-    def test_choi_round_trip(self):
-        rng = task_rng(4)
-        u = haar_unitary(4, rng)
-        kraus = [math.sqrt(0.7) * u, math.sqrt(0.3) * np.eye(4, dtype=complex)]
-        choi = choi_matrix(kraus)
-        back = kraus_from_choi(choi)
-        sigma = random_density_matrix(4, 4, rng)
-        out1 = sum(k @ sigma @ k.conj().T for k in kraus)
-        out2 = sum(k @ sigma @ k.conj().T for k in back)
-        assert np.linalg.norm(out1 - out2) < 1e-10
+    def _oracle(self, gate, edge, model):
+        """Does the channel, placed on `edge`, fix the full-register Gibbs
+        weight?  ||E(G) - G||_1 = tr(G_rest) ||E(G_ij) - G_ij||_1, so the
+        pair tolerance 1e-9 scales by tr(G_rest)."""
+        n = model.n
+        gamma = model.gamma_full()
+        kraus = (gate.unitary,) if gate.is_unitary else gate.kraus
+        image = sum(self._apply_on_edge(k, gamma, n, *edge) for k in kraus)
+        residual = float(np.abs(np.linalg.eigvalsh(image - gamma)).sum())
+        rest = math.prod(model.z(q) for q in range(n) if q not in edge)
+        return residual / rest
+
+    @staticmethod
+    def _models(n, seed):
+        rng = task_rng(seed, n)
+        return (
+            ThermalModel.degenerate(n),
+            ThermalModel(tuple(float(e) for e in rng.uniform(0.1, 2.0, n))),
+            ThermalModel(tuple(float(e) for e in rng.choice([0.5, 1.5], n))),
+        )
+
+    def test_verdicts_match_full_register_oracle(self):
+        checked = {True: 0, False: 0}
+        for n in (2, 3, 4):
+            models = self._models(n, 61)
+            sets = [default_gate_set("all-to-all"), default_gate_set("chain")]
+            sets += [gibbs_preserving_gate_set(m, c) for m in models for c in ("all-to-all", "chain")]
+            for model in models:
+                for gs in sets:
+                    pairs = [(g, e) for g in gs.gates for e in edges(gs.connectivity, n)]
+                    for gate, edge in pairs + list(gs.placed_extra):
+                        residual = self._oracle(gate, edge, model)
+                        # every pair is far from the tolerance, so the verdict is robust
+                        assert residual < 1e-12 or residual > 1e-6
+                        verdict = gibbs_check(gate, model.gamma_pair(*edge))
+                        assert verdict == (residual <= 1e-9), (gate.name, edge, model)
+                        checked[verdict] += 1
+        assert checked[True] > 100 and checked[False] > 100
 
 
 class TestGateSetFiles:

@@ -1,0 +1,56 @@
+"""Every top-level function, class and method in `src/cxtherm` has a user.
+
+A top-level name counts as used when it appears as a word anywhere in
+`src/`, `tests/`, `benchmarks/` or the root `conftest.py` apart from its own
+definition; a non-dunder method counts as used when some file reads it as
+`.name`.  Standard library only: `ast` finds the definitions, a regex search
+finds the uses.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cxtherm"
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def corpus() -> str:
+    files = [ROOT / "conftest.py"]
+    for top in ("src", "tests", "benchmarks"):
+        files.extend(sorted((ROOT / top).rglob("*.py")))
+    return "\n".join(f.read_text() for f in files)
+
+
+def definitions():
+    """(qualified name, kind, bare name) for every top-level definition and
+    every method of a top-level class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, DEFS):
+                continue
+            yield f"{path.stem}.{node.name}", "top", node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, DEFS) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        yield f"{path.stem}.{node.name}.{item.name}", "method", item.name
+
+
+def test_no_unused_definitions():
+    text = corpus()
+    found = list(definitions())
+    assert {"gates.Gate", "gates.Gate.is_unitary"} <= {q for q, _, _ in found}
+    unused = []
+    for qualified, kind, name in found:
+        if kind == "top":
+            # the definition itself is one occurrence
+            used = len(re.findall(rf"\b{re.escape(name)}\b", text)) > 1
+        else:
+            used = re.search(rf"\.{re.escape(name)}\b", text) is not None
+        if not used:
+            unused.append(qualified)
+    assert unused == []
+

@@ -216,6 +216,16 @@ def test_budget_is_checked_before_any_level_is_built(entry, monkeypatch):
     assert all(level <= 1 for level in built)
 
 
+@pytest.mark.parametrize("query", [
+    lambda rho: success_probability(rho, DEFAULT, -1, 0.0),
+    lambda rho: distinguishability_beta(rho, rand_state(2, 803), DEFAULT, -1),
+    lambda rho: erasure_search(rho, ThermalModel.degenerate(2), DEFAULT, -1, 0.9),
+])
+def test_negative_r_is_rejected(query):
+    with pytest.raises(ValueError, match="r must be at least 0, got -1"):
+        query(rand_state(2, 804))
+
+
 @pytest.mark.parametrize("n, r", [(2, 2), (4, 3)])  # M_2 on 4 qubits is scored in several blocks
 def test_ties_break_toward_the_first_candidate(n, r):
     # every candidate scores 0: the first (row 0, no gate) must win

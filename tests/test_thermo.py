@@ -5,7 +5,7 @@ import pytest
 
 from cxtherm.cxentropy import cx_entropy
 from cxtherm.errors import ProtocolError
-from cxtherm.gates import placed_alphabet
+from cxtherm.gates import CZ, GateSet, channel_gate, placed_alphabet, unitary_gate
 from cxtherm.registers import (
     DensityOperator,
     ghz_state,
@@ -31,6 +31,7 @@ from cxtherm.thermo import (
     lifted_input,
     parse_protocol,
     run_protocol,
+    validate_gibbs_gate_set,
 )
 
 from oracles import brute_force_protocol_work
@@ -169,6 +170,17 @@ class TestProductHamiltonian:
         model = ThermalModel((0.5, 1.0))
         with pytest.raises(ValueError):
             erasure_search(rand_state(2, 1), model, gate_set, 1, 0.9)
+
+    def test_gibbs_validation_names_a_placed_extra_edge(self):
+        model = ThermalModel((0.5, 1.0, 1.5))
+        reset_pair = channel_gate("reset_pair", [np.outer(np.eye(4)[0], np.eye(4)[b]) for b in range(4)])
+        signs = GateSet("finite", (unitary_gate("cz", CZ),), "chain")
+        validate_gibbs_gate_set(signs, model)
+        bad = GateSet("finite", signs.gates, "chain", ((reset_pair, (1, 2)),))
+        with pytest.raises(ValueError, match=r"'reset_pair' does not preserve the Gibbs weight on edge \(1,2\)"):
+            validate_gibbs_gate_set(bad, model)
+        with pytest.raises(ValueError, match=r"edge \(1,2\)"):
+            erasure_search(rand_state(3, 2), model, bad, 1, 0.9)
 
 
 class TestLifting:
