@@ -23,9 +23,9 @@ from .entropies import binary_entropy, von_neumann
 from .gates import (
     Circuit,
     GateSet,
+    apply_local,
     entangling_power,
     expand_operator,
-    expand_two_qubit,
     inverse_circuit,
     placed_alphabet,
     pullback_effect,
@@ -246,8 +246,9 @@ def continuity_trial(
             u4 = expm(-1j * h)
         else:
             raise ValueError(f"unknown gate source {gate_source!r}")
-        u = expand_operator(u4, n, [pos, pos + 1])
-        evolved = DensityOperator(rho.register, u @ rho.matrix @ u.conj().T)
+        evolved = DensityOperator(
+            rho.register, apply_local(unitary_gate("u", u4), (pos, pos + 1), rho.matrix)
+        )
         delta = abs(entanglement_E(evolved) - entanglement_E(rho))
         nu = math.sin(min(entangling_power(u4)[0], 0.5 * math.pi))
         coarse_ok = delta <= 8.0 * LOG2 / (n - 1) + 1e-9
@@ -460,13 +461,11 @@ def decoupling_simulate(
     alpha = placed_alphabet(gate_set, n_a) if n_a >= 2 else []
     rng = task_rng(seed)
     sigma = rho_ar.matrix
-    n = rho_ar.n
     for _ in range(r0):
         if not alpha:
             break
         pg = alpha[int(rng.integers(len(alpha)))]
-        u = expand_two_qubit(pg.gate.unitary, n, *pg.edge)
-        sigma = u @ sigma @ u.conj().T
+        sigma = apply_local(pg.gate, pg.edge, sigma)
     rho_prime = DensityOperator(rho_ar.register, sigma)
 
     keep = labels[k:]  # discard the first k qubits of A

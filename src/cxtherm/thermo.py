@@ -19,10 +19,9 @@ from .gates import (
     SWAP,
     Gate,
     GateSet,
-    PlacedGate,
+    apply_local,
     channel_gate,
     edges,
-    expand_operator,
     gibbs_check,
     mask_matrix,
     mask_traces_identity,
@@ -112,11 +111,11 @@ EXTRACT_FIDELITY_TOL = 1e-9
 
 
 def _replace_qubit(sigma: np.ndarray, n: int, i: int, local: np.ndarray) -> np.ndarray:
-    if n == 1:
-        return local * float(np.trace(sigma).real)
-    keep = [k for k in range(n) if k != i]
-    reduced = partial_trace_matrix(sigma, n, keep)
-    return expand_operator(np.kron(local, reduced), n, [i] + keep)
+    """local (x) tr_i(sigma) with the local factor back on qubit i: trace
+    axes (i, n+i) of the (2,)*2n view out and move the 2x2 factor's axes in."""
+    reduced = np.trace(sigma.reshape((2,) * (2 * n)), axis1=i, axis2=n + i)
+    out = np.moveaxis(np.multiply.outer(local, reduced), [0, 1], [i, n + i])
+    return np.ascontiguousarray(out).reshape(sigma.shape)
 
 
 def run_protocol(
@@ -129,11 +128,12 @@ def run_protocol(
     beta_work = 0.0
     ket0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     for step in protocol.steps:
+        if isinstance(step, (Reset, Extract)) and not 0 <= step.qubit < protocol.n:
+            raise ProtocolError(f"{step!r} acts outside the {protocol.n}-qubit register")
         if isinstance(step, Reset):
             sigma = _replace_qubit(sigma, protocol.n, step.qubit, ket0)
             beta_work += model.reset_work(step.qubit)
         elif isinstance(step, Extract):
-            keep = [k for k in range(protocol.n) if k != step.qubit]
             local = partial_trace_matrix(sigma, protocol.n, [step.qubit])
             ground = float(local[0, 0].real) / max(float(np.trace(local).real), 1e-300)
             if ground < 1.0 - EXTRACT_FIDELITY_TOL:
@@ -143,7 +143,7 @@ def run_protocol(
             sigma = _replace_qubit(sigma, protocol.n, step.qubit, model.thermal_qubit(step.qubit))
             beta_work -= model.reset_work(step.qubit)
         elif isinstance(step, GateStep):
-            sigma = PlacedGate(step.gate, step.edge, protocol.n).apply_matrix(sigma)
+            sigma = apply_local(step.gate, step.edge, sigma)
             if not step.gate.is_identity:
                 complexity += 1
         else:
@@ -206,6 +206,10 @@ def gibbs_preserving_gate_set(model: ThermalModel, connectivity: str = "all-to-a
 def validate_gibbs_gate_set(gate_set: GateSet, model: ThermalModel):
     placed = [(g, e) for g in gate_set.gates for e in edges(gate_set.connectivity, model.n)]
     for gate, (i, j) in placed + list(gate_set.placed_extra):
+        if not (0 <= i < model.n and 0 <= j < model.n):
+            raise ValueError(
+                f"gate {gate.name!r} is placed on edge ({i},{j}), outside the {model.n}-qubit model"
+            )
         if not gibbs_check(gate, model.gamma_pair(i, j)):
             raise ValueError(f"gate {gate.name!r} does not preserve the Gibbs weight on edge ({i},{j})")
 
@@ -417,8 +421,8 @@ def compression_search(
     circuit = best.circuit
     kept_qubits = tuple(i for i in range(n) if not (best.mask_bits >> (n - 1 - i)) & 1)
     sigma = rho.matrix
-    for pg in circuit.placed():
-        sigma = pg.apply_matrix(sigma)
+    for gate, edge in circuit.ops:
+        sigma = apply_local(gate, edge, sigma)
     success = float((mask_matrix(n)[best.mask_bits] * np.real(np.diag(sigma))).sum())
     return CompressionResult(int(best.value), circuit, kept_qubits, success)
 

@@ -12,8 +12,14 @@ import math
 
 import numpy as np
 
-from cxtherm.gates import MATRIX_HASH_DECIMALS, Circuit, iter_simple_effects, placed_alphabet
-from cxtherm.registers import PovmEffect, register
+from cxtherm.gates import (
+    MATRIX_HASH_DECIMALS,
+    Circuit,
+    expand_operator,
+    iter_simple_effects,
+    placed_alphabet,
+)
+from cxtherm.registers import PovmEffect, partial_trace_matrix, register
 
 
 def diagonal_hyp_oracle(rho_diag, gamma_diag, eta, steps=200):
@@ -119,19 +125,14 @@ def _reduced_single_qubit(sigma, n, i):
     return sub
 
 
-def _replace_single_qubit(sigma, n, i, local):
-    t = sigma.reshape((2,) * (2 * n))
-    off = 0
-    red = t
-    k_rem = n
-    red = np.trace(red, axis1=i, axis2=i + n).reshape(2 ** (n - 1), 2 ** (n - 1))
-    big = np.kron(local, red)
-    order = [i] + [q for q in range(n) if q != i]
-    perm = [0] * n
-    for pos, q in enumerate(order):
-        perm[q] = pos
-    t2 = big.reshape((2,) * (2 * n)).transpose(perm + [p + n for p in perm])
-    return np.ascontiguousarray(t2.reshape(2 ** n, 2 ** n))
+def kron_replace_qubit(sigma, n, i, local):
+    """local (x) tr_i(sigma) with the local factor on qubit i, built as a
+    Kronecker product and permuted into place by `expand_operator`."""
+    if n == 1:
+        return local * float(np.trace(sigma).real)
+    keep = [k for k in range(n) if k != i]
+    reduced = partial_trace_matrix(sigma, n, keep)
+    return expand_operator(np.kron(local, reduced), n, [i] + keep)
 
 
 def brute_force_protocol_work(rho_mat, n, gate_list, eta, max_ops, log_z,
@@ -168,7 +169,7 @@ def brute_force_protocol_work(rho_mat, n, gate_list, eta, max_ops, log_z,
             legal = True
             for kind, arg in seq:
                 if kind == "reset":
-                    sigma = _replace_single_qubit(sigma, n, arg, ket0)
+                    sigma = kron_replace_qubit(sigma, n, arg, ket0)
                     work += log_z[arg]
                 elif kind == "extract":
                     sub = _reduced_single_qubit(sigma, n, arg)
@@ -176,7 +177,7 @@ def brute_force_protocol_work(rho_mat, n, gate_list, eta, max_ops, log_z,
                     if pop < 1.0 - 1e-9:
                         legal = False
                         break
-                    sigma = _replace_single_qubit(sigma, n, arg, thermal)
+                    sigma = kron_replace_qubit(sigma, n, arg, thermal)
                     work -= log_z[arg]
                 else:
                     g = gate_list[arg]

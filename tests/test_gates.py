@@ -5,13 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cxtherm.experiments as experiments_module
+import cxtherm.gates as gates_module
+import cxtherm.thermo as thermo_module
 from cxtherm.errors import BudgetExceededError
+from cxtherm.experiments import continuity_trial, decoupling_simulate
 from cxtherm.gates import (
     CNOT,
     SWAP,
     Circuit,
     GateSet,
+    PlacedGate,
     apply_circuit,
+    apply_local,
     channel_gate,
     default_gate_set,
     edges,
@@ -28,10 +34,19 @@ from cxtherm.gates import (
     format_gate_set,
     unitary_gate,
 )
-from cxtherm.registers import DensityOperator, ghz_state, register, zero_state
+from cxtherm.registers import DensityOperator, ghz_state, register, state_from_vector, zero_state
 from cxtherm.sampling import random_density_matrix, sample_haar_unitary, task_rng
 from cxtherm.search import approx_state_complexity, circuit_complexity, circuit_count, enumerate_effects
-from cxtherm.thermo import ThermalModel, gibbs_preserving_gate_set
+from cxtherm.thermo import (
+    Extract,
+    GateStep,
+    Protocol,
+    Reset,
+    ThermalModel,
+    compression_search,
+    gibbs_preserving_gate_set,
+    run_protocol,
+)
 
 from oracles import bell_by_hand, brute_force_state_distance, entangling_power_grid_oracle, iter_circuits
 
@@ -98,6 +113,74 @@ class TestEmbedding:
         for pg in placed_alphabet(gate_set, n_a):
             nested = expand_operator(pg.unitary_full, n, list(range(n_a)))
             assert np.array_equal(expand_two_qubit(pg.gate.unitary, n, *pg.edge), nested)
+
+
+class TestLocalApplication:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_the_dense_embedding_on_both_orientations(self, gate_set, n):
+        model = ThermalModel(tuple(task_rng(40 + n).uniform(0.2, 2.0, n)))
+        gibbs = gibbs_preserving_gate_set(model)
+        gates = list(gate_set.gates) + list(gibbs.gates) + [g for g, _ in gibbs.placed_extra]
+        assert any(not g.is_unitary for g in gates)
+        rng = task_rng(n)
+        for i, j in edges("all-to-all", n):
+            for edge in ((i, j), (j, i)):
+                sigma = random_density_matrix(2 ** n, int(rng.integers(1, 2 ** n + 1)), rng)
+                for g in gates:
+                    dense = PlacedGate(g, edge, n).apply_matrix(sigma)
+                    assert np.abs(apply_local(g, edge, sigma) - dense).max() <= 1e-14
+
+    @pytest.mark.parametrize("edge", [(0, 0), (0, 3), (-1, 1)])
+    def test_edge_off_the_register_rejected(self, gate_set, edge):
+        with pytest.raises(ValueError, match="invalid edge"):
+            apply_local(gate_set.gates[0], edge, np.eye(8, dtype=complex) / 8)
+
+    @pytest.mark.parametrize("entry", [
+        "run_protocol", "apply_circuit", "compression_search", "decoupling_simulate", "continuity_trial",
+    ])
+    def test_register_simulation_builds_no_embedding(self, gate_set, monkeypatch, entry):
+        # gates placed once on the 6-qubit register go through apply_local;
+        # dense embeddings are left to the search's cached alphabets and to
+        # witness pullbacks on smaller registers
+        n = 6
+        model = ThermalModel(tuple(task_rng(6).uniform(0.2, 2.0, n)))
+        channel = next(g for g, e in gibbs_preserving_gate_set(model).placed_extra if e == (1, 4))
+        gates = {g.name: g for g in gate_set.gates}
+        rho = DensityOperator(register(n), random_density_matrix(2 ** n, 5, task_rng(7)))
+        bell = np.zeros(2 ** n)
+        bell[0] = bell[2 ** (n - 2) * 3] = math.sqrt(0.5)  # Bell pair on qubits 0, 1
+        call = {
+            "run_protocol": lambda: run_protocol(Protocol(n, (
+                GateStep(gates["h_a"], (5, 0)), GateStep(gates["cnot"], (0, 2)),
+                GateStep(channel, (1, 4)), Reset(3), Extract(3),
+            )), rho, model)[0].matrix,
+            "apply_circuit": lambda: apply_circuit(
+                Circuit(n, ((gates["cnot"], (4, 1)), (gates["t_b"], (2, 3)))), rho
+            ).matrix,
+            "compression_search": lambda: compression_search(state_from_vector(bell), gate_set, 1, 0.1),
+            "decoupling_simulate": lambda: decoupling_simulate(rho, 3, gate_set, 2, 2, 1, 0.9, 0.25, 3),
+            "continuity_trial": lambda: continuity_trial(n, 2, 5),
+        }[entry]
+        before = call()  # also builds the cached alphabets
+
+        def refuse_at_n(original, n_arg):
+            def wrapper(*args):
+                if args[n_arg] == n:
+                    raise AssertionError(f"{n}-qubit embedding built")
+                return original(*args)
+            return wrapper
+
+        refuse = refuse_at_n(gates_module.expand_operator, 1)
+        for module in (gates_module, thermo_module, experiments_module):
+            monkeypatch.setattr(module, "expand_operator", refuse, raising=False)
+        monkeypatch.setattr(PlacedGate, "__init__", refuse_at_n(PlacedGate.__init__, 3))
+        after = call()
+        if entry == "compression_search":
+            assert before.circuit.ops and after == before
+        elif isinstance(before, np.ndarray):
+            assert np.array_equal(after, before)
+        else:
+            assert after == before
 
 
 class TestPullback:

@@ -54,3 +54,26 @@ def test_no_unused_definitions():
             unused.append(qualified)
     assert unused == []
 
+
+def unused_imports(path: Path) -> list[str]:
+    """Names that a module's imports bind and that the module never reads;
+    `from __future__` imports are exempt."""
+    tree = ast.parse(path.read_text())
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.extend(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_unused_imports():
+    # __init__.py imports names to re-export them
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py" and (names := unused_imports(path))
+    }
+    assert unused == {}

@@ -34,7 +34,7 @@ from cxtherm.thermo import (
     validate_gibbs_gate_set,
 )
 
-from oracles import brute_force_protocol_work
+from oracles import brute_force_protocol_work, kron_replace_qubit
 
 LOG2 = math.log(2.0)
 
@@ -97,6 +97,25 @@ class TestRunProtocol:
         )
         assert ledger.complexity == 1
         assert ledger.beta_work == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_reset_and_extract_equal_the_kron_oracle(self, n):
+        model = ThermalModel(tuple(task_rng(20 + n).uniform(0.2, 2.0, n)))
+        ket0 = np.diag([1.0, 0.0]).astype(complex)
+        for i in range(n):
+            rho = rand_state(n, 10 * n + i, rank=1 + i)
+            reset, _ = run_protocol(Protocol(n, (Reset(i),)), rho, model)
+            expect = kron_replace_qubit(rho.matrix, n, i, ket0)
+            assert np.abs(reset.matrix - expect).max() <= 1e-15
+            out, ledger = run_protocol(Protocol(n, (Reset(i), Extract(i))), rho, model)
+            expect = kron_replace_qubit(expect, n, i, model.thermal_qubit(i))
+            assert np.abs(out.matrix - expect).max() <= 1e-15
+            assert ledger.beta_work == 0.0
+
+    @pytest.mark.parametrize("step", [Reset(2), Extract(-1)])
+    def test_step_off_the_register_rejected(self, step):
+        with pytest.raises(ProtocolError, match="outside the 2-qubit register"):
+            run_protocol(Protocol(2, (step,)), zero_state(2), ThermalModel.degenerate(2))
 
     def test_ledger_reproducible(self, gate_set):
         model = ThermalModel.degenerate(2)
@@ -181,6 +200,17 @@ class TestProductHamiltonian:
             validate_gibbs_gate_set(bad, model)
         with pytest.raises(ValueError, match=r"edge \(1,2\)"):
             erasure_search(rand_state(3, 2), model, bad, 1, 0.9)
+
+    def test_gibbs_validation_rejects_an_edge_beyond_the_model(self):
+        # a gate set built for three qubits places channels on edges that a
+        # two-qubit model has no energies for
+        wide = gibbs_preserving_gate_set(ThermalModel((0.5, 1.0, 1.5)))
+        model = ThermalModel((0.5, 1.0))
+        message = r"'thermal_q25_id_02' is placed on edge \(0,2\), outside the 2-qubit model"
+        with pytest.raises(ValueError, match=message):
+            validate_gibbs_gate_set(wide, model)
+        with pytest.raises(ValueError, match=message):
+            erasure_search(maximally_mixed(2), model, wide, 1, 0.9)
 
 
 class TestLifting:
