@@ -22,7 +22,7 @@ from . import experiments, thermo
 from .cxentropy import cx_entropy
 from .entropies import hyp_entropy
 from .errors import BudgetExceededError, ConfigError
-from .gates import GateSet, default_gate_set, parse_gate_set
+from .gates import GateSet, default_gate_set, format_matrix, parse_gate_set, parse_matrix
 from .registers import (
     DensityOperator,
     ghz_state,
@@ -200,11 +200,7 @@ def load_state_file(path: str | Path) -> DensityOperator:
     d = int(lines[0].split()[1])
     if len(lines) != 1 + d * d:
         raise ConfigError(f"state file needs {d * d} entry lines, found {len(lines) - 1}")
-    vals = []
-    for ln in lines[1:]:
-        re_s, im_s = ln.split()
-        vals.append(complex(float(re_s), float(im_s)))
-    mat = np.array(vals, dtype=complex).reshape(d, d)
+    mat = parse_matrix(lines[1:], d)
     n = int(round(math.log2(d)))
     if 2 ** n != d:
         raise ConfigError("state dimension must be a power of two")
@@ -215,9 +211,7 @@ def load_state_file(path: str | Path) -> DensityOperator:
 
 
 def save_state_file(path: str | Path, rho: DensityOperator) -> None:
-    lines = [f"dim {rho.dim}"]
-    for z in rho.matrix.ravel():
-        lines.append("%.17g %.17g" % (z.real, z.imag))
+    lines = [f"dim {rho.dim}", *format_matrix(rho.matrix)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -24,6 +24,7 @@ from .gates import (
     Circuit,
     GateSet,
     apply_local,
+    apply_local_vector,
     entangling_power,
     expand_operator,
     inverse_circuit,
@@ -108,8 +109,8 @@ def _transition_sample(
                                 gate_set if source == "finite" else None)
     vec = np.zeros(2 ** n, dtype=complex)
     vec[0] = 1.0
-    for pg in circuit.placed():
-        vec = pg.apply_vector(vec)
+    for gate, edge in circuit.ops:
+        vec = apply_local_vector(gate, edge, vec)
 
     certified = False
     if circuit.complexity <= r:

@@ -1,11 +1,11 @@
 """Two-qubit gate sets, placed gates, circuits, and simple effects.
 
 A gate is always a 4x4 unitary or a 4x4-Kraus channel; single-qubit actions
-are carried as u (x) I factors.  Register simulation applies a gate locally,
-contracting its 16x16 superoperator with four axes of the (2,)*2n view of a
-density matrix (`apply_local`); a `PlacedGate` caches the full 2^n x 2^n
-embedding for the effect-set engine, which reuses one alphabet many times.
-Circuit cost counts placed non-identity gates.
+are carried as u (x) I factors.  A gate applied once acts locally on the
+(2,)*n view of a statevector or the (2,)*2n view of a matrix; only
+`placed_alphabet` builds full 2^n x 2^n embeddings (`PlacedGate`), for the
+effect-set engine, which reuses one alphabet many times.  Circuit cost
+counts placed non-identity gates.
 """
 
 from __future__ import annotations
@@ -197,25 +197,36 @@ def expand_operator(mat: np.ndarray, n: int, positions: Sequence[int]) -> np.nda
     return np.ascontiguousarray(t.transpose(axes).reshape(2 ** n, 2 ** n))
 
 
-def apply_local(gate: Gate, edge: tuple[int, int], sigma: np.ndarray) -> np.ndarray:
-    """sum_K K sigma K^dag for the gate on ordered qubits `edge` of the
-    register that the 2^n x 2^n matrix sigma lives on, in O(16 d^2): one
-    contraction of the superoperator with axes (i, j, n+i, n+j) of the
-    (2,)*2n view, no 2^n x 2^n operator."""
-    n = sigma.shape[0].bit_length() - 1
+def _contract(tensor: np.ndarray, edge: tuple[int, int], x: np.ndarray) -> np.ndarray:
+    """Contract the trailing half of a (2,)*2k gate tensor with the axes of
+    ordered qubits `edge` in the (2,)*... view of x, a 2^n statevector (k = 2)
+    or 2^n x 2^n matrix (k = 4); its leading half takes their place."""
+    k = tensor.ndim // 2
+    view = (2,) * (x.size.bit_length() - 1)
+    n = 2 * len(view) // k
     i, j = int(edge[0]), int(edge[1])
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"invalid edge ({i}, {j}) on {n} qubits")
-    axes = [i, j, n + i, n + j]
-    out = np.tensordot(gate.superoperator, sigma.reshape((2,) * (2 * n)), axes=([4, 5, 6, 7], axes))
-    return np.ascontiguousarray(np.moveaxis(out, [0, 1, 2, 3], axes)).reshape(sigma.shape)
+    axes = [i, j, n + i, n + j][:k]
+    out = np.tensordot(tensor, x.reshape(view), axes=(list(range(k, 2 * k)), axes))
+    return np.ascontiguousarray(np.moveaxis(out, range(k), axes)).reshape(x.shape)
 
 
-def expand_two_qubit(mat4: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """Embed a 4x4 operator acting on ordered qubits (i, j) into 2^n x 2^n."""
-    if i == j:
-        raise ValueError(f"invalid edge ({i}, {j})")
-    return expand_operator(mat4, n, [i, j])
+def apply_local(gate: Gate, edge: tuple[int, int], sigma: np.ndarray) -> np.ndarray:
+    """sum_K K sigma K^dag for the gate on ordered qubits `edge`, in O(16 d^2)."""
+    return _contract(gate.superoperator, edge, sigma)
+
+
+def pullback_local(gate: Gate, edge: tuple[int, int], effect: np.ndarray) -> np.ndarray:
+    """sum_K K^dag Q K: the conjugated superoperator, input and output swapped."""
+    return _contract(gate.superoperator.conj().transpose(4, 5, 6, 7, 0, 1, 2, 3), edge, effect)
+
+
+def apply_local_vector(gate: Gate, edge: tuple[int, int], vec: np.ndarray) -> np.ndarray:
+    """U psi for a unitary gate on ordered qubits `edge`, in O(4 d)."""
+    if not gate.is_unitary:
+        raise ValueError(f"channel {gate.name!r} cannot act on a statevector")
+    return _contract(gate.unitary.reshape((2,) * 4), edge, vec)
 
 
 class PlacedGate:
@@ -227,12 +238,9 @@ class PlacedGate:
         self.gate = gate
         self.edge = (int(edge[0]), int(edge[1]))
         self.n = n
-        if gate.is_unitary:
-            self.unitary_full = expand_two_qubit(gate.unitary, n, *self.edge)
-            self.kraus_full = (self.unitary_full,)
-        else:
-            self.unitary_full = None
-            self.kraus_full = tuple(expand_two_qubit(k, n, *self.edge) for k in gate.kraus)
+        mats = (gate.unitary,) if gate.is_unitary else gate.kraus
+        self.kraus_full = tuple(expand_operator(k, n, self.edge) for k in mats)
+        self.unitary_full = self.kraus_full[0] if gate.is_unitary else None
 
     def apply_matrix(self, sigma: np.ndarray) -> np.ndarray:
         out = None
@@ -329,9 +337,6 @@ class Circuit:
     def complexity(self) -> int:
         return sum(1 for g, _ in self.ops if not g.is_identity)
 
-    def placed(self) -> list[PlacedGate]:
-        return [PlacedGate(g, e, self.n) for g, e in self.ops]
-
 
 def apply_circuit(circuit: Circuit, rho: DensityOperator) -> DensityOperator:
     if rho.register.n != circuit.n:
@@ -396,15 +401,11 @@ def mask_traces_identity(n: int) -> np.ndarray:
 
 def pullback_effect(circuit: Circuit, effect: SimpleEffect | PovmEffect) -> PovmEffect:
     """Q = E_1^dag ... E_r^dag(P) for the circuit E_r ... E_1."""
-    if isinstance(effect, SimpleEffect):
-        p = effect.matrix()
-        prov_simple = effect
-    else:
-        p = effect.matrix
-        prov_simple = None
-    for pg in reversed(circuit.placed()):
-        p = pg.pullback(p)
-    return PovmEffect(register(circuit.n), p, provenance=(circuit, prov_simple))
+    simple = effect if isinstance(effect, SimpleEffect) else None
+    p = effect.matrix() if simple is not None else effect.matrix
+    for gate, edge in reversed(circuit.ops):
+        p = pullback_local(gate, edge, p)
+    return PovmEffect(register(circuit.n), p, provenance=(circuit, simple))
 
 
 def inverse_circuit(circuit: Circuit, gate_set: GateSet | None = None) -> Circuit | None:
@@ -475,16 +476,14 @@ def gibbs_check(gate: Gate, gamma_pair: np.ndarray) -> bool:
 _COMPLEX_FMT = "%.17g %.17g"
 
 
-def _format_matrix(m: np.ndarray) -> list[str]:
+def format_matrix(m: np.ndarray) -> list[str]:
+    """One "re im" line per entry, row-major, exact on reading back."""
     return [_COMPLEX_FMT % (z.real, z.imag) for z in np.asarray(m, dtype=complex).ravel()]
 
 
-def _parse_matrix(lines: list[str], dim: int) -> np.ndarray:
-    vals = []
-    for ln in lines:
-        re_s, im_s = ln.split()
-        vals.append(complex(float(re_s), float(im_s)))
-    return np.array(vals, dtype=complex).reshape(dim, dim)
+def parse_matrix(lines: list[str], dim: int) -> np.ndarray:
+    pairs = [ln.split() for ln in lines]
+    return np.array([complex(float(re), float(im)) for re, im in pairs], dtype=complex).reshape(dim, dim)
 
 
 def format_gate_set(gate_set: GateSet) -> str:
@@ -494,11 +493,11 @@ def format_gate_set(gate_set: GateSet) -> str:
     for gate in gate_set.gates:
         if gate.is_unitary:
             lines.append(f"gate {gate.name} unitary")
-            lines.extend(_format_matrix(gate.unitary))
+            lines.extend(format_matrix(gate.unitary))
         else:
             lines.append(f"gate {gate.name} channel {len(gate.kraus)}")
             for k in gate.kraus:
-                lines.extend(_format_matrix(k))
+                lines.extend(format_matrix(k))
     return "\n".join(lines) + "\n"
 
 
@@ -516,15 +515,13 @@ def parse_gate_set(text: str) -> GateSet:
         name, kind = parts[1], parts[2]
         pos += 1
         if kind == "unitary":
-            gates.append(unitary_gate(name, _parse_matrix(lines[pos : pos + 16], 4)))
+            gates.append(unitary_gate(name, parse_matrix(lines[pos : pos + 16], 4)))
             pos += 16
         elif kind == "channel":
             count = int(parts[3])
-            kraus = []
-            for _ in range(count):
-                kraus.append(_parse_matrix(lines[pos : pos + 16], 4))
-                pos += 16
-            gates.append(channel_gate(name, kraus))
+            gates.append(channel_gate(name, [parse_matrix(lines[pos + 16 * c : pos + 16 * c + 16], 4)
+                                             for c in range(count)]))
+            pos += 16 * count
         else:
             raise ValueError(f"unknown gate kind {kind!r}")
     return GateSet("finite", tuple(gates), connectivity)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from .gates import edges, expand_two_qubit, mask_matrix
+from .gates import edges, expand_operator, mask_matrix
 from .parallel import deterministic_map
 from .sampling import task_rng
 
@@ -70,7 +70,7 @@ def _build_effect(params: np.ndarray, layout, n: int, p_diag: np.ndarray) -> np.
     for k, (i, j) in enumerate(layout):
         theta = params[15 * k : 15 * (k + 1)]
         gen = sum(t * g for t, g in zip(theta, _GENERATORS))
-        u = expand_two_qubit(expm(-1j * gen), n, i, j) @ u
+        u = expand_operator(expm(-1j * gen), n, (i, j)) @ u
     return u.conj().T @ (p_diag[:, None] * u)
 
 

@@ -60,11 +60,19 @@ def _hermitize(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("operator matrix must be square")
-    dev = np.linalg.norm(m - m.conj().T, ord=np.inf)
-    scale = max(np.linalg.norm(m, ord=np.inf), 1.0)
-    if dev > HERMITIAN_TOL * scale:
+    # one d x d buffer: the result is built in place, the norms a row block at a time
+    out = np.empty_like(m, order="C")
+    np.conjugate(m.T, out=out)
+    dev = scale = 0.0
+    step = max(1, 2 ** 14 // m.shape[0])
+    for a in range(0, m.shape[0], step):
+        dev = max(dev, np.abs(m[a : a + step] - out[a : a + step]).sum(axis=1).max())
+        scale = max(scale, np.abs(m[a : a + step]).sum(axis=1).max())
+    if dev > HERMITIAN_TOL * max(scale, 1.0):
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3g})")
-    return 0.5 * (m + m.conj().T)
+    out += m
+    out *= 0.5
+    return out
 
 
 def _clamp_spectrum(matrix: np.ndarray, lo: float | None, hi: float | None) -> np.ndarray:

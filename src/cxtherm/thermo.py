@@ -25,6 +25,7 @@ from .gates import (
     gibbs_check,
     mask_matrix,
     mask_traces_identity,
+    simple_effect_from_bits,
     unitary_gate,
 )
 from .registers import DensityOperator, partial_trace_matrix, register
@@ -218,6 +219,11 @@ def validate_gibbs_gate_set(gate_set: GateSet, model: ThermalModel):
 # optimal erasure
 
 
+def _unmasked(n: int, bits: int) -> tuple[int, ...]:
+    """The qubits that the simple effect with these mask bits leaves free."""
+    return tuple(i for i, m in enumerate(simple_effect_from_bits(n, bits).mask) if not m)
+
+
 @dataclass(frozen=True)
 class ErasureResult:
     beta_work: float
@@ -242,15 +248,8 @@ def erasure_search(
         raise ValueError("eta must lie in (0, 1]")
     validate_gibbs_gate_set(gate_set, model)
 
-    # mask bit set = qubit projected to |0>; the RESET set is its complement
-    d = 2 ** n
-    work = np.empty(d)
-    for m in range(d):
-        w = 0.0
-        for i in range(n):
-            if not (m >> (n - 1 - i)) & 1:
-                w += model.reset_work(i)
-        work[m] = w
+    # a masked qubit is projected to |0>; the RESET set is the rest
+    work = np.array([sum(model.reset_work(i) for i in _unmasked(n, m)) for m in range(2 ** n)], float)
     eta_eff = eta - 1e-12
 
     def score(traces, masks):
@@ -259,7 +258,7 @@ def erasure_search(
     best = minimize_over_effects(gate_set, n, r, [rho.matrix], score)
     if not math.isfinite(best.value):
         raise ValueError("no protocol reaches the requested success probability")
-    reset_set = tuple(i for i in range(n) if not (best.mask_bits >> (n - 1 - i)) & 1)
+    reset_set = _unmasked(n, best.mask_bits)
     steps: list[Step] = [GateStep(g, e) for g, e in best.circuit.ops]
     steps.extend(Reset(i) for i in reset_set)
     protocol = Protocol(n, tuple(steps))
@@ -419,7 +418,7 @@ def compression_search(
 
     best = minimize_over_effects(gate_set, n, r, [rho.matrix], score)
     circuit = best.circuit
-    kept_qubits = tuple(i for i in range(n) if not (best.mask_bits >> (n - 1 - i)) & 1)
+    kept_qubits = _unmasked(n, best.mask_bits)
     sigma = rho.matrix
     for gate, edge in circuit.ops:
         sigma = apply_local(gate, edge, sigma)

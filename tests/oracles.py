@@ -7,6 +7,7 @@ hand-built matrices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -125,6 +126,24 @@ def _reduced_single_qubit(sigma, n, i):
     return sub
 
 
+def embedded_kraus(gate, edge, n):
+    """The gate's Kraus operators (a unitary gate: its unitary alone), each
+    placed on ordered qubits `edge` of an n-qubit register by
+    `expand_operator` as a dense 2^n x 2^n matrix."""
+    mats = (gate.unitary,) if gate.is_unitary else gate.kraus
+    return [expand_operator(k, n, list(edge)) for k in mats]
+
+
+def dense_apply(kraus_full, sigma):
+    """sum_K K sigma K^dag with embedded Kraus operators, as matrix products."""
+    return functools.reduce(np.add, (k @ sigma @ k.conj().T for k in kraus_full))
+
+
+def dense_pullback(kraus_full, effect):
+    """sum_K K^dag Q K with embedded Kraus operators, as matrix products."""
+    return functools.reduce(np.add, (k.conj().T @ effect @ k for k in kraus_full))
+
+
 def kron_replace_qubit(sigma, n, i, local):
     """local (x) tr_i(sigma) with the local factor on qubit i, built as a
     Kronecker product and permuted into place by `expand_operator`."""
@@ -201,7 +220,8 @@ def iter_circuits(gate_set, n, r):
 
 def dfs_enumerate_effects(gate_set, r, n, dedup=True):
     """M_r by depth-first search over every circuit of at most r gates, each
-    simple effect pulled back gate by gate.  With dedup=False every
+    simple effect pulled back gate by gate through dense embeddings built
+    here, independent of the engine's placed alphabet.  With dedup=False every
     (circuit, mask) pair is yielded.  Deduplication hashes matrices rounded
     to 1e-10; it affects only the number of items yielded, never the set."""
     if r < 0:
@@ -211,12 +231,12 @@ def dfs_enumerate_effects(gate_set, r, n, dedup=True):
     seen = set()
     simple = list(iter_simple_effects(n))
     for circuit in iter_circuits(gate_set, n, r):
-        placed = circuit.placed()
+        placed = [embedded_kraus(g, e, n) for g, e in circuit.ops]
         pulled = []
         for eff in simple:
             p = eff.matrix()
-            for pg in reversed(placed):
-                p = pg.pullback(p)
+            for kraus_full in reversed(placed):
+                p = dense_pullback(kraus_full, p)
             pulled.append(p)
         for eff, p in zip(simple, pulled):
             if dedup:

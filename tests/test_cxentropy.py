@@ -31,7 +31,7 @@ from cxtherm.registers import (
 )
 from cxtherm.sampling import random_density_matrix, sample_pure_state, task_rng
 
-from oracles import dfs_enumerate_effects
+from oracles import dfs_enumerate_effects, embedded_kraus
 
 LOG2 = math.log(2.0)
 
@@ -76,8 +76,8 @@ class TestWorkedExamples:
         # error above tr Q = 1; the ratio is taken with min(tr(Q rho), tr Q)
         vec = np.zeros(8, dtype=complex)
         vec[0] = 1.0
-        for pg in brickwork_circuit(3, 25, "finite", 25 * 1009 + 18, gate_set).placed():
-            vec = pg.apply_vector(vec)
+        for gate, edge in brickwork_circuit(3, 25, "finite", 25 * 1009 + 18, gate_set).ops:
+            vec = embedded_kraus(gate, edge, 3)[0] @ vec
         est = cx_entropy(state_from_vector(vec), gate_set, 2, 1.0)
         assert 0.0 <= est.value <= 1e-12
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import cxtherm.experiments as experiments_module
 import cxtherm.gates as gates_module
 import cxtherm.thermo as thermo_module
+from cxtherm.cxentropy import cx_entropy
 from cxtherm.errors import BudgetExceededError
-from cxtherm.experiments import continuity_trial, decoupling_simulate
+from cxtherm.experiments import continuity_trial, decoupling_simulate, transition_scan
 from cxtherm.gates import (
     CNOT,
     SWAP,
@@ -18,12 +19,12 @@ from cxtherm.gates import (
     PlacedGate,
     apply_circuit,
     apply_local,
+    apply_local_vector,
     channel_gate,
     default_gate_set,
     edges,
     entangling_power,
     expand_operator,
-    expand_two_qubit,
     gibbs_check,
     inverse_circuit,
     iter_simple_effects,
@@ -31,7 +32,9 @@ from cxtherm.gates import (
     parse_gate_set,
     placed_alphabet,
     pullback_effect,
+    pullback_local,
     format_gate_set,
+    simple_effect_from_bits,
     unitary_gate,
 )
 from cxtherm.registers import DensityOperator, ghz_state, register, state_from_vector, zero_state
@@ -48,7 +51,15 @@ from cxtherm.thermo import (
     run_protocol,
 )
 
-from oracles import bell_by_hand, brute_force_state_distance, entangling_power_grid_oracle, iter_circuits
+from oracles import (
+    bell_by_hand,
+    brute_force_state_distance,
+    dense_apply,
+    dense_pullback,
+    embedded_kraus,
+    entangling_power_grid_oracle,
+    iter_circuits,
+)
 
 
 def find_gate(gate_set, name):
@@ -58,8 +69,8 @@ def find_gate(gate_set, name):
 def circuit_unitary(circuit):
     """Full-register unitary of a unitary circuit, gates applied left to right."""
     u = np.eye(2 ** circuit.n, dtype=complex)
-    for pg in circuit.placed():
-        u = pg.unitary_full @ u
+    for gate, edge in circuit.ops:
+        u = embedded_kraus(gate, edge, circuit.n)[0] @ u
     return u
 
 
@@ -112,7 +123,7 @@ class TestEmbedding:
         # register is bit for bit the embedding of its n_a-qubit embedding
         for pg in placed_alphabet(gate_set, n_a):
             nested = expand_operator(pg.unitary_full, n, list(range(n_a)))
-            assert np.array_equal(expand_two_qubit(pg.gate.unitary, n, *pg.edge), nested)
+            assert np.array_equal(expand_operator(pg.gate.unitary, n, pg.edge), nested)
 
 
 class TestLocalApplication:
@@ -125,25 +136,43 @@ class TestLocalApplication:
         rng = task_rng(n)
         for i, j in edges("all-to-all", n):
             for edge in ((i, j), (j, i)):
-                sigma = random_density_matrix(2 ** n, int(rng.integers(1, 2 ** n + 1)), rng)
+                sigma, effect = (random_density_matrix(2 ** n, int(rng.integers(1, 2 ** n + 1)), rng)
+                                 for _ in range(2))
+                vec = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+                vec /= np.linalg.norm(vec)
                 for g in gates:
-                    dense = PlacedGate(g, edge, n).apply_matrix(sigma)
+                    kraus_full = embedded_kraus(g, edge, n)
+                    dense = dense_apply(kraus_full, sigma)
                     assert np.abs(apply_local(g, edge, sigma) - dense).max() <= 1e-14
+                    dense = dense_pullback(kraus_full, effect)
+                    assert np.abs(pullback_local(g, edge, effect) - dense).max() <= 1e-14
+                    if g.is_unitary:
+                        dense = kraus_full[0] @ vec
+                        assert np.abs(apply_local_vector(g, edge, vec) - dense).max() <= 1e-14
 
     @pytest.mark.parametrize("edge", [(0, 0), (0, 3), (-1, 1)])
     def test_edge_off_the_register_rejected(self, gate_set, edge):
+        for apply in (apply_local, pullback_local):
+            with pytest.raises(ValueError, match="invalid edge"):
+                apply(gate_set.gates[0], edge, np.eye(8, dtype=complex) / 8)
         with pytest.raises(ValueError, match="invalid edge"):
-            apply_local(gate_set.gates[0], edge, np.eye(8, dtype=complex) / 8)
+            apply_local_vector(gate_set.gates[0], edge, np.eye(8, dtype=complex)[0])
+
+    def test_channel_refused_on_a_statevector(self):
+        channel, _ = gibbs_preserving_gate_set(ThermalModel((0.5, 1.0))).placed_extra[0]
+        with pytest.raises(ValueError, match="cannot act on a statevector"):
+            apply_local_vector(channel, (0, 1), np.eye(4, dtype=complex)[0])
 
     @pytest.mark.parametrize("entry", [
         "run_protocol", "apply_circuit", "compression_search", "decoupling_simulate", "continuity_trial",
+        "pullback_effect", "transition_scan", "cx_entropy",
     ])
     def test_register_simulation_builds_no_embedding(self, gate_set, monkeypatch, entry):
-        # gates placed once on the 6-qubit register go through apply_local;
-        # dense embeddings are left to the search's cached alphabets and to
-        # witness pullbacks on smaller registers
-        n = 6
-        model = ThermalModel(tuple(task_rng(6).uniform(0.2, 2.0, n)))
+        # a gate applied once on the register (6 qubits; 4 for cx_entropy's
+        # witness) acts locally; dense embeddings are left to the search's
+        # cached alphabets, which the warm-up call builds
+        n = 4 if entry == "cx_entropy" else 6
+        model = ThermalModel(tuple(task_rng(6).uniform(0.2, 2.0, 6)))
         channel = next(g for g, e in gibbs_preserving_gate_set(model).placed_extra if e == (1, 4))
         gates = {g.name: g for g in gate_set.gates}
         rho = DensityOperator(register(n), random_density_matrix(2 ** n, 5, task_rng(7)))
@@ -160,6 +189,13 @@ class TestLocalApplication:
             "compression_search": lambda: compression_search(state_from_vector(bell), gate_set, 1, 0.1),
             "decoupling_simulate": lambda: decoupling_simulate(rho, 3, gate_set, 2, 2, 1, 0.9, 0.25, 3),
             "continuity_trial": lambda: continuity_trial(n, 2, 5),
+            "pullback_effect": lambda: pullback_effect(
+                Circuit(n, ((gates["cnot"], (4, 1)), (channel, (1, 4)), (gates["t_b"], (2, 3)))),
+                simple_effect_from_bits(n, 0b100101),
+            ).matrix,
+            "transition_scan": lambda: transition_scan(n, [1, 2], 3, 0.9, gate_set, 2, 0, source="haar_su4"),
+            # the r = 1 witness of a Bell pair holds a gate
+            "cx_entropy": lambda: cx_entropy(state_from_vector(bell), gate_set, 1, 0.9),
         }[entry]
         before = call()  # also builds the cached alphabets
 
@@ -177,6 +213,9 @@ class TestLocalApplication:
         after = call()
         if entry == "compression_search":
             assert before.circuit.ops and after == before
+        elif entry == "cx_entropy":
+            assert before.witness.provenance[0].ops and after.value == before.value
+            assert np.array_equal(after.witness.matrix, before.witness.matrix)
         elif isinstance(before, np.ndarray):
             assert np.array_equal(after, before)
         else:

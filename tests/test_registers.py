@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,3 +193,39 @@ class TestValidation:
     def test_subnormalized_allowed(self):
         rho = DensityOperator(register(1), np.diag([0.3, 0.2]))
         assert rho.trace() == pytest.approx(0.5)
+
+
+class TestHermitize:
+    @staticmethod
+    def near_hermitian(n, seed, asymmetry):
+        rng = task_rng(seed)
+        d = 2 ** n
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return m + m.conj().T + asymmetry * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 9])
+    def test_stored_matrix_equals_the_two_copy_formula(self, n):
+        for seed in range(3):
+            m = self.near_hermitian(n, 100 * n + seed, 1e-13)
+            for mat in (m, m.T):  # C- and Fortran-ordered input
+                stored = HermitianOperator(register(n), mat).matrix
+                assert stored.flags.c_contiguous
+                assert np.array_equal(stored, 0.5 * (mat + mat.conj().T))
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_deviation_is_the_infinity_norm(self, n):
+        m = self.near_hermitian(n, 7, 1e-3)
+        dev = np.linalg.norm(m - m.conj().T, ord=np.inf)
+        with pytest.raises(ValueError, match=re.escape(f"not Hermitian (deviation {dev:.3g})")):
+            HermitianOperator(register(n), m)
+
+    def test_one_buffer_at_nine_qubits(self):
+        m = self.near_hermitian(9, 3, 1e-13)
+        tracemalloc.start()
+        try:
+            op = HermitianOperator(register(9), m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.matrix.nbytes == m.nbytes
+        assert peak <= 1.25 * m.nbytes, peak / m.nbytes

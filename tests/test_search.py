@@ -46,7 +46,7 @@ from cxtherm.search import (
 )
 from cxtherm.thermo import ThermalModel, compression_search, erasure_search, gibbs_preserving_gate_set
 
-from oracles import dfs_enumerate_effects
+from oracles import dense_pullback, dfs_enumerate_effects, embedded_kraus
 
 TOL = 1e-12
 SLACK = 1e-12  # the solvers' feasibility slack on tr(Q rho) >= eta
@@ -107,8 +107,8 @@ def test_provenance_reaches_each_effect():
             circuit, simple = eff.provenance
             assert circuit.complexity <= 2
             q = simple.matrix()
-            for pg in reversed(circuit.placed()):
-                q = pg.pullback(q)
+            for gate, edge in reversed(circuit.ops):
+                q = dense_pullback(embedded_kraus(gate, edge, circuit.n), q)
             assert np.allclose(q, eff.matrix, atol=1e-12)
 
 
