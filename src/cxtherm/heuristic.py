@@ -5,6 +5,15 @@ su(4) generators.  The objective is the log candidate ratio plus a quadratic
 feasibility penalty whose weight ramps x10 per stage; any feasible candidate
 certifies a one-sided bound, so only feasibility matters for soundness and
 the optimizer is free to be greedy.
+
+L-BFGS-B gets the objective's exact gradient, not finite differences: one
+forward sweep carries rho and Gamma through the circuit, one backward sweep
+pulls the mask projector back, and each gate's derivative along the 15
+generators comes from the Daleckii-Krein divided differences of its
+exponential.  Gates act locally on the (2,)*2n view of the register.
+`solver["restarts_detail"]` reports each restart in restart order: its
+iterations and evaluations summed over the penalty stages, the last stage's
+weight, and its candidate's acceptance, feasibility and score.
 """
 
 from __future__ import annotations
@@ -16,11 +25,10 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from .gates import edges, expand_operator, mask_matrix
+from .gates import edges, mask_matrix
 from .parallel import deterministic_map
 from .sampling import task_rng
 
-FD_STEP = 1e-5
 PENALTY_STAGES = (1e2, 1e3, 1e4, 1e5)
 
 
@@ -44,18 +52,7 @@ def su4_generators() -> list[np.ndarray]:
     return gens
 
 
-_GENERATORS = su4_generators()
-
-
-def _central_diff(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
+_GENERATOR_ROWS = np.stack(su4_generators()).reshape(15, 16)
 
 
 @dataclass(frozen=True)
@@ -65,13 +62,94 @@ class HeuristicCandidate:
     meta: dict
 
 
-def _build_effect(params: np.ndarray, layout, n: int, p_diag: np.ndarray) -> np.ndarray:
-    u = np.eye(2 ** n, dtype=complex)
-    for k, (i, j) in enumerate(layout):
-        theta = params[15 * k : 15 * (k + 1)]
-        gen = sum(t * g for t, g in zip(theta, _GENERATORS))
-        u = expand_operator(expm(-1j * gen), n, (i, j)) @ u
-    return u.conj().T @ (p_diag[:, None] * u)
+def _gate(theta: np.ndarray):
+    """exp(-iH) for H = sum_a theta_a T_a = V diag(lam) V^dag, with V and the
+    divided differences F_ij of exp(-ix) at (lam_i, lam_j), written
+    -i exp(-i(lam_i + lam_j)/2) sinc((lam_i - lam_j)/2) so that degenerate
+    eigenvalues need no special case."""
+    h = (_GENERATOR_ROWS.T @ theta).reshape(4, 4)
+    lam, v = np.linalg.eigh(h)
+    mean = 0.5 * (lam[:, None] + lam[None, :])
+    half_gap = 0.5 * (lam[:, None] - lam[None, :])
+    return expm(-1j * h), v, -1j * np.exp(-1j * mean) * np.sinc(half_gap / np.pi)
+
+
+def _left(u: np.ndarray, edge: tuple[int, int], x: np.ndarray) -> np.ndarray:
+    """(u on ordered qubits `edge`, identity elsewhere) @ x for a 2^n x 2^n x."""
+    n = x.shape[0].bit_length() - 1
+    t = np.tensordot(u.reshape(2, 2, 2, 2), x.reshape((2,) * n + (-1,)), axes=([2, 3], list(edge)))
+    return np.moveaxis(t, (0, 1), edge).reshape(x.shape)
+
+
+def _edge_block(z: np.ndarray, edge: tuple[int, int]) -> np.ndarray:
+    """The 4x4 m with tr(z (g on `edge`)) = tr(m g) for every 4x4 g: the
+    adjoint of expand_operator, a partial trace over the other qubits."""
+    n = z.shape[0].bit_length() - 1
+    i, j = edge
+    cols = [n + q if q in edge else q for q in range(n)]
+    return np.einsum(z.reshape((2,) * 2 * n), list(range(n)) + cols, [i, j, n + i, n + j]).reshape(4, 4)
+
+
+def _backward(circuit, layout, p_diag: np.ndarray, forward=None):
+    """Pull the projector P back through the circuit to Q = U^dag P U.
+
+    With `forward` (for each gate k, U_k X_k of some Hermitian X carried
+    forward to that gate) it also returns the gradient of tr(P U X U^dag):
+    at gate k it is 2 Re tr(M dU_k) with M the edge block of (U_k X_k)^dag
+    E_k, where E_k is P pulled back to just after gate k, and dU_k along
+    T_a is V (F o V^dag T_a V) V^dag (Daleckii-Krein).
+    """
+    effect = np.diag(p_diag.astype(complex))
+    grad = None if forward is None else np.empty(15 * len(layout))
+    for k in reversed(range(len(layout))):
+        u, v, divided = circuit[k]
+        edge = layout[k]
+        if forward is not None:
+            m = _edge_block(forward[k].conj().T @ effect, edge)
+            w = (v.conj().T @ m @ v).T * divided
+            grad[15 * k : 15 * (k + 1)] = 2.0 * np.real(_GENERATOR_ROWS @ (v.conj() @ w @ v.T).ravel())
+        uh = u.conj().T
+        effect = _left(uh, edge, _left(uh, edge, effect).conj().T).conj().T
+    return effect, grad
+
+
+def _forward(circuit, layout, x: np.ndarray):
+    """Carry x through the circuit: U_k X_k for each gate k, and U X U^dag."""
+    fed = []
+    for (u, _, _), edge in zip(circuit, layout):
+        fed.append(_left(u, edge, x))
+        x = _left(u, edge, fed[-1].conj().T).conj().T
+    return fed, x
+
+
+def _circuit(params: np.ndarray, layout):
+    return [_gate(params[15 * k : 15 * (k + 1)]) for k in range(len(layout))]
+
+
+def _objective(params, layout, p_diag, rho, gamma, eta, penalty, reduced):
+    """The penalized log candidate ratio and its exact gradient.
+
+    log tr(Q Gamma) - log tr(Q rho) (the second term dropped when `reduced`)
+    + penalty max(0, eta - tr(Q rho))^2 for Q = U^dag P U; a max(., 1e-300)
+    clamp that is active contributes no derivative.  One forward sweep of
+    rho and Gamma and one backward sweep of P give the gradient.
+    """
+    circuit = _circuit(params, layout)
+    fed_rho, rho_out = _forward(circuit, layout, rho)
+    fed_gamma, gamma_out = _forward(circuit, layout, gamma)
+    accept = float(p_diag @ np.real(np.diag(rho_out)))
+    cost = float(p_diag @ np.real(np.diag(gamma_out)))
+    shortfall = max(0.0, eta - accept)
+    value = math.log(max(cost, 1e-300)) + penalty * shortfall ** 2
+    d_cost = 1.0 / cost if cost > 1e-300 else 0.0
+    d_accept = -2.0 * penalty * shortfall
+    if not reduced:
+        value -= math.log(max(accept, 1e-300))
+        if accept > 1e-300:
+            d_accept -= 1.0 / accept
+    # tr(P U X U^dag) is linear in X, so one backward sweep serves both terms
+    fed = [d_accept * a + d_cost * b for a, b in zip(fed_rho, fed_gamma)]
+    return value, _backward(circuit, layout, p_diag, fed)[1]
 
 
 def heuristic_search(
@@ -97,7 +175,7 @@ def heuristic_search(
     masks = np.arange(2 ** n)
     pair_list = edges(connectivity, n)
     tr_rho = float(np.trace(rho).real)
-    meta = {"method": "heuristic", "restarts": restarts, "iterations": iterations}
+    meta = {"method": "heuristic", "restarts": restarts, "iterations": iterations, "restarts_detail": []}
 
     def candidate_score(q: np.ndarray) -> tuple[float, float]:
         accept = float(np.trace(q @ rho).real)
@@ -132,36 +210,38 @@ def heuristic_search(
         if float(p_diag @ np.real(np.diag(rho))) < 1e-6 and mask_bits != 0:
             p_diag = mm[0]
         x = rng.normal(scale=0.4, size=15 * r)
+        nit = nfev = 0
 
         for penalty in PENALTY_STAGES:
-
-            def objective(params):
-                q = _build_effect(params, layout, n, p_diag)
-                accept = float(np.trace(q @ rho).real)
-                cost = float(np.trace(q @ gamma).real)
-                raw = math.log(max(cost, 1e-300))
-                if not reduced:
-                    raw -= math.log(max(accept, 1e-300))
-                return raw + penalty * max(0.0, eta - accept) ** 2
-
             res = minimize(
-                objective,
+                _objective,
                 x,
+                args=(layout, p_diag, rho, gamma, eta, penalty, reduced),
                 method="L-BFGS-B",
-                jac=lambda p: _central_diff(objective, p),
+                jac=True,
                 options={"maxiter": iterations},
             )
             x = res.x
+            nit += int(res.nit)
+            nfev += int(res.nfev)
 
-        q = _build_effect(x, layout, n, p_diag)
+        q = _backward(_circuit(x, layout), layout, p_diag)[0]
         # clamp numerical noise outside [0, 1]
         w, v = np.linalg.eigh(q)
         q = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
         accept, score = candidate_score(q)
-        return accept, score, q
+        detail = {
+            "iterations": nit,
+            "evaluations": nfev,
+            "penalty": penalty,
+            "accept": accept,
+            "feasible": accept >= eta - 1e-10,
+            "score": score,
+        }
+        return detail, q
 
-    results = deterministic_map(one_restart, list(range(restarts)), threads)
-    for accept, score, q in results:
-        if accept >= eta - 1e-10 and score < best.score:
-            best = HeuristicCandidate(score, q, meta)
+    for detail, q in deterministic_map(one_restart, list(range(restarts)), threads):
+        meta["restarts_detail"].append(detail)
+        if detail["feasible"] and detail["score"] < best.score:
+            best = HeuristicCandidate(detail["score"], q, meta)
     return best

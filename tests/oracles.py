@@ -12,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from cxtherm.gates import (
     MATRIX_HASH_DECIMALS,
@@ -20,6 +21,7 @@ from cxtherm.gates import (
     iter_simple_effects,
     placed_alphabet,
 )
+from cxtherm.heuristic import su4_generators
 from cxtherm.registers import PovmEffect, partial_trace_matrix, register
 
 
@@ -56,6 +58,30 @@ def diagonal_hyp_exact(rho_diag, gamma_diag, eta):
     if need > 1e-12:
         return math.inf
     return cost / eta
+
+
+def central_difference(f, x, h=1e-5):
+    """Gradient of a scalar function by central differences, one coordinate
+    at a time; its error is O(h^2) times the third derivative."""
+    x = np.asarray(x, dtype=float)
+    g = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        g[i] = (f(x + step) - f(x - step)) / (2.0 * h)
+    return g
+
+
+def dense_su4_effect(params, layout, n, p_diag):
+    """U^dag diag(p_diag) U for the continuous circuit U whose k-th gate is
+    exp(-i sum_a params[15k + a] T_a) on layout[k], every gate embedded by
+    expand_operator and multiplied out in full."""
+    gens = su4_generators()
+    u = np.eye(2 ** n, dtype=complex)
+    for k, edge in enumerate(layout):
+        h = sum(t * g for t, g in zip(params[15 * k : 15 * (k + 1)], gens))
+        u = expand_operator(expm(-1j * h), n, edge) @ u
+    return u.conj().T @ (np.asarray(p_diag)[:, None] * u)
 
 
 def ghz2_reduced_by_hand():

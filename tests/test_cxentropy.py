@@ -15,7 +15,8 @@ from cxtherm.cxentropy import (
 )
 from cxtherm.entropies import hyp_entropy, hyp_relative_entropy
 from cxtherm.experiments import brickwork_circuit
-from cxtherm.gates import continuous_su4_gate_set, default_gate_set
+from cxtherm import heuristic
+from cxtherm.gates import continuous_su4_gate_set, default_gate_set, mask_matrix
 from cxtherm.registers import (
     DensityOperator,
     HermitianOperator,
@@ -31,7 +32,7 @@ from cxtherm.registers import (
 )
 from cxtherm.sampling import random_density_matrix, sample_pure_state, task_rng
 
-from oracles import dfs_enumerate_effects, embedded_kraus
+from oracles import central_difference, dense_su4_effect, dfs_enumerate_effects, embedded_kraus
 
 LOG2 = math.log(2.0)
 
@@ -371,6 +372,110 @@ class TestHeuristic:
         cont = continuous_su4_gate_set()
         est = cx_entropy(ghz_state(2), cont, 1, 0.99, restarts=6, iterations=30, seed=5)
         assert est.value <= 0.05  # the continuous optimum is 0
+
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in (2, 3, 4) for r in (1, 2, 3)])
+    def test_exact_gradient_matches_central_differences(self, n, r):
+        rng = task_rng(50, n, r)
+        d = 2 ** n
+        rho = random_density_matrix(d, d, rng)
+        gamma = 2.0 * random_density_matrix(d, d, rng)
+        p_diag = mask_matrix(n)[int(rng.integers(1, d))]
+        params = rng.normal(scale=0.4, size=15 * r)
+        # a zero gate: all eigenvalues of its generator coincide
+        zero = int(rng.integers(r))
+        params[15 * zero : 15 * (zero + 1)] = 0.0
+        edges = [tuple(sorted(rng.choice(n, size=2, replace=False).tolist())) for _ in range(r)]
+        penalty = 1e3
+        for layout in (edges, [(j, i) for i, j in edges]):
+            q = dense_su4_effect(params, layout, n, p_diag)
+            accept = np.trace(q @ rho).real
+            cost = np.trace(q @ gamma).real
+            for reduced in (False, True):
+                for shortfall in (0.05, -0.05):  # penalty active, then inactive
+                    eta = accept + shortfall
+
+                    def objective(x):
+                        return heuristic._objective(x, layout, p_diag, rho, gamma, eta, penalty, reduced)
+
+                    value, grad = objective(params)
+                    expected = math.log(cost) + penalty * max(0.0, shortfall) ** 2
+                    if not reduced:
+                        expected -= math.log(accept)
+                    assert value == pytest.approx(expected, abs=1e-12)
+                    fd = central_difference(lambda x: objective(x)[0], params)
+                    assert np.all(np.abs(grad - fd) <= 1e-6 * np.maximum(1.0, np.abs(grad)))
+
+    def test_one_forward_sweep_per_evaluation(self, monkeypatch):
+        counts = {"expm": 0, "nfev": 0, "nit": 0}
+        expm, minimize = heuristic.expm, heuristic.minimize
+
+        def counted_expm(a):
+            counts["expm"] += 1
+            return expm(a)
+
+        def counted_minimize(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            counts["nfev"] += int(res.nfev)
+            counts["nit"] += int(res.nit)
+            return res
+
+        monkeypatch.setattr(heuristic, "expm", counted_expm)
+        monkeypatch.setattr(heuristic, "minimize", counted_minimize)
+        rho = rand_state(3, 40)
+        r, restarts = 2, 3
+        cand = heuristic.heuristic_search(
+            rho.matrix, np.eye(8), 3, r, 0.9, restarts=restarts, iterations=20, seed=2
+        )
+        assert counts["nfev"] > 0
+        # one forward sweep per evaluation, plus the final build of each restart
+        assert counts["expm"] == r * (counts["nfev"] + restarts)
+        # nor inside minimize: a finite-difference gradient there would cost
+        # 15 r + 1 evaluations per iteration
+        calls = restarts * len(heuristic.PENALTY_STAGES)
+        assert counts["nfev"] <= 3 * (counts["nit"] + calls)
+        assert sum(d["evaluations"] for d in cand.meta["restarts_detail"]) == counts["nfev"]
+
+    def test_restart_details_independent_of_threads(self):
+        cont = continuous_su4_gate_set()
+        rho = rand_state(3, 41)
+        one, two = (
+            cx_entropy(rho, cont, 2, 0.9, restarts=6, iterations=20, seed=4, threads=t)
+            for t in (1, 2)
+        )
+        detail = one.solver["restarts_detail"]
+        assert detail == two.solver["restarts_detail"]
+        assert one.value == two.value
+        assert np.array_equal(one.witness.matrix, two.witness.matrix)
+        assert len(detail) == 6
+        for entry in detail:
+            assert entry["penalty"] == heuristic.PENALTY_STAGES[-1]
+            assert 0 <= entry["iterations"] <= entry["evaluations"]
+            assert entry["evaluations"] >= len(heuristic.PENALTY_STAGES)
+            assert entry["feasible"] == (entry["accept"] >= 0.9 - 1e-10)
+        feasible = [entry["score"] for entry in detail if entry["feasible"]]
+        assert one.value == math.log(min(feasible))
+        assert cx_entropy(rho, cont, 0, 0.9).solver["restarts_detail"] == []
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("connectivity", ["all-to-all", "chain"])
+    @pytest.mark.parametrize("reduced", [False, True])
+    @given(seed=st.integers(0, 5_000))
+    @settings(max_examples=3, deadline=None)
+    def test_witness_feasible_and_value_bracketed(self, n, r, connectivity, reduced, seed):
+        rng = task_rng(seed)
+        d = 2 ** n
+        rho = DensityOperator(register(n), random_density_matrix(d, int(rng.integers(1, d + 1)), rng))
+        eta = float(rng.uniform(0.5, 0.99))
+        cont = continuous_su4_gate_set(connectivity)
+        est = cx_entropy(rho, cont, r, eta, reduced=reduced, restarts=4, iterations=20, seed=seed)
+        assert np.trace(est.witness.matrix @ rho.matrix).real >= eta - 1e-10
+        # unrestricted lower side: log(beta*/eta), or log beta* without the
+        # normalization; the Q = I fallback gives log(d / tr rho), or log d
+        lower = hyp_entropy(rho, eta).value + (math.log(eta) if reduced else 0.0)
+        fallback = math.log(d) - (0.0 if reduced else math.log(rho.trace()))
+        assert lower - 1e-9 <= est.value <= fallback + 1e-9
 
 
 class TestEstimateInvariants:
