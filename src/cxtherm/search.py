@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConfigError
 from .gates import (
     MATRIX_HASH_DECIMALS,
     BoundedCache,
@@ -81,8 +81,15 @@ def circuit_count(alphabet_size: int, r: int) -> int:
 
 def check_budget(alphabet_size: int, r: int) -> None:
     """Refuse r before anything is built when the circuits of at most r
-    gates outnumber the cap read from CXTHERM_BUDGET."""
-    cap = int(os.environ.get("CXTHERM_BUDGET", DEFAULT_BUDGET))
+    gates outnumber the cap read from CXTHERM_BUDGET, a non-negative
+    integer."""
+    raw = os.environ.get("CXTHERM_BUDGET", str(DEFAULT_BUDGET))
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ConfigError(f"CXTHERM_BUDGET must be a non-negative integer, got {raw!r}")
     total = circuit_count(alphabet_size, r)
     if total > cap:
         raise BudgetExceededError(total, cap)
@@ -152,11 +159,11 @@ class ReachableSet:
         self.ends = [len(start)]
         self._index: dict[int, list[int]] = {}
         for i, key in enumerate(_rounded(self.rows)):
-            self._index.setdefault(self._hash(key, i), []).append(i)
+            self._index.setdefault(self._hash(key.tobytes(), i), []).append(i)
         self._lock = threading.Lock()
 
-    def _hash(self, key_row: np.ndarray, mask: int) -> int:
-        return hash((key_row.tobytes(), mask) if self.keyed_by_mask else key_row.tobytes())
+    def _hash(self, key: bytes, mask: int) -> int:
+        return hash((key, mask) if self.keyed_by_mask else key)
 
     def upto(self, level: int) -> tuple[np.ndarray, np.ndarray, bool]:
         """(rows, masks) of R_level, and whether they had to be built."""
@@ -174,10 +181,13 @@ class ReachableSet:
         masks: list[int] = []
         parents: list[int] = []
         gates: list[int] = []
+        # keys[j] is row j rounded: every stored row once per level, each kept
+        # row as it is kept
+        keys = [row.tobytes() for row in _rounded(self.rows)]
 
-        def same(j: int, key_row: np.ndarray, mask: int) -> bool:
-            row, row_mask = (self.rows[j], self.masks[j]) if j < hi else (kept[j - hi], masks[j - hi])
-            return (not self.keyed_by_mask or row_mask == mask) and np.array_equal(_rounded(row), key_row)
+        def same(j: int, key: bytes, mask: int) -> bool:
+            row_mask = self.masks[j] if j < hi else masks[j - hi]
+            return keys[j] == key and (not self.keyed_by_mask or row_mask == mask)
 
         for g, pg in enumerate(self.alphabet):
             for start in range(lo, hi, CHUNK_ROWS):
@@ -185,14 +195,17 @@ class ReachableSet:
                 for t, key_row in enumerate(_rounded(stepped)):
                     parent = start + t
                     mask = int(self.masks[parent])
-                    bucket = self._index.setdefault(self._hash(key_row, mask), [])
-                    if any(same(j, key_row, mask) for j in bucket):
+                    key = key_row.tobytes()
+                    bucket = self._index.setdefault(self._hash(key, mask), [])
+                    if any(same(j, key, mask) for j in bucket):
                         continue
                     bucket.append(hi + len(kept))
+                    keys.append(key)
                     kept.append(stepped[t].copy())  # a view would pin the whole batch
                     masks.append(mask)
                     parents.append(parent)
                     gates.append(g)
+        del keys  # freed before the copy, which sets the peak
         self.rows = np.vstack([self.rows, *kept])  # one copy per level
         self.masks = np.concatenate([self.masks, np.array(masks, dtype=int)])
         self.parents = np.concatenate([self.parents, np.array(parents, dtype=int)])

@@ -45,3 +45,15 @@ def run_cli():
         )
 
     return run
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run `python -c CODE` in CWD with CLI_ENV."""
+
+    def run(code, cwd):
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd, env=CLI_ENV,
+        )
+
+    return run

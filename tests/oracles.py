@@ -271,3 +271,49 @@ def dfs_enumerate_effects(gate_set, r, n, dedup=True):
                     continue
                 seen.add(key)
             yield PovmEffect(register(n), p, provenance=(circuit, eff))
+
+
+def first_occurrence_chain(reach, levels):
+    """(rows, masks, parents, gates) of R_0 .. R_levels grown from the start
+    rows of `reach` with its step, one whole level per gate, and deduplicated
+    by a set of exact keys: each row's entries rounded to 1e-10 (with -0.0
+    folded into 0.0), paired with its root mask for a set keyed by mask.  A
+    row is kept at its first occurrence in (level, gate, parent) order."""
+    start = reach.rows[: reach.ends[0]]
+
+    def key(row, mask):
+        rounded = (np.round(row, MATRIX_HASH_DECIMALS) + 0.0).tobytes()
+        return (rounded, mask) if reach.keyed_by_mask else rounded
+
+    rows = list(start)
+    masks = list(range(len(start)))
+    parents = [-1] * len(start)
+    gates = [-1] * len(start)
+    seen = {key(row, mask) for row, mask in zip(rows, masks)}
+    lo = 0
+    for _ in range(levels):
+        hi = len(rows)
+        level = np.array(rows[lo:hi]).reshape(hi - lo, start.shape[1])
+        for g, pg in enumerate(reach.alphabet):
+            for t, row in enumerate(reach.step(pg, level)):
+                k = key(row, masks[lo + t])
+                if k not in seen:
+                    seen.add(k)
+                    rows.append(row)
+                    masks.append(masks[lo + t])
+                    parents.append(lo + t)
+                    gates.append(g)
+        lo = hi
+    return np.array(rows), np.array(masks), np.array(parents), np.array(gates)
+
+
+def fidelity_from_factors(a, b):
+    """F(A A^dag, B B^dag) by Uhlmann's theorem: the trace norm of A^dag B
+    for the factors the states were built from, with no eigendecomposition
+    of either state."""
+    return float(np.linalg.svd(a.conj().T @ b, compute_uv=False).sum())
+
+
+def expm_minus_i(h):
+    """exp(-i h) by scipy's scaling-and-squaring Pade approximant."""
+    return expm(-1j * h)

@@ -96,6 +96,14 @@ class TestDispatch:
                        "--eta", "0.999"], tmp_path, CXTHERM_BUDGET="50")
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_malformed_or_negative_budget_exit_2(self, value, tmp_path, run_cli):
+        res = run_cli(["cx-entropy", "--state", "ghz3", "--r", "1"], tmp_path, CXTHERM_BUDGET=value)
+        assert res.returncode == 2
+        assert res.stderr == (
+            f"config error: CXTHERM_BUDGET must be a non-negative integer, got {value!r}\n"
+        )
+
     def test_decouple_channel_gate_set_exit_2(self, tmp_path, run_cli):
         dephase = GateSet("finite", (
             channel_gate("dephase_a", [np.eye(4) / math.sqrt(2.0), np.kron(Z, I2) / math.sqrt(2.0)]),
@@ -215,3 +223,20 @@ class TestDeterminism:
             assert res.returncode == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+# a fresh process: numpy only until a continuous-gate query loads the heuristic
+IMPORT_GUARD = """
+import sys
+import cxtherm.cli
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded() == [], loaded()
+for cmd in ("cx-entropy", "erasure", "compress"):
+    assert cxtherm.cli.dispatch([cmd, "--state", "ghz4", "--r", "1"]) == 0
+assert loaded() == [], loaded()
+"""
+
+
+def test_cli_queries_on_finite_sets_import_no_scipy(tmp_path, run_python):
+    res = run_python(IMPORT_GUARD, tmp_path)
+    assert res.returncode == 0, res.stderr

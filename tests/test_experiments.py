@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cxtherm import experiments
 from cxtherm.experiments import (
     ConjectureProbeResult,
     brickwork_circuit,
@@ -36,6 +37,8 @@ from cxtherm.sampling import (
     sample_haar_unitary,
     task_rng,
 )
+
+from oracles import expm_minus_i
 
 LOG2 = math.log(2.0)
 
@@ -194,6 +197,22 @@ class TestContinuity:
         assert rep.refined_violations == 0
         # weak gates cannot move E anywhere near the coarse cap
         assert rep.max_abs_delta < 0.2 * (8 * LOG2 / 3)
+
+    def test_near_identity_exponential_equals_expm(self, monkeypatch):
+        # every gate continuity_trial draws, against scipy's expm
+        draws = []
+        exp_minus_i = experiments._exp_minus_i
+
+        def recording(h):
+            u = exp_minus_i(h)
+            draws.append((h, u))
+            return u
+
+        monkeypatch.setattr(experiments, "_exp_minus_i", recording)
+        continuity_trial(4, 40, 19, gate_source="near_identity")
+        assert len(draws) == 40
+        for h, u in draws:
+            assert np.abs(u - expm_minus_i(h)).max() <= 1e-14
 
     def test_refined_bound_formula_limits(self):
         assert gate_bound_nu(0.0, 4) == pytest.approx(0.0, abs=1e-12)

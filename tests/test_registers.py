@@ -26,7 +26,7 @@ from cxtherm.registers import (
 )
 from cxtherm.sampling import haar_state_vector, random_density_matrix, task_rng
 
-from oracles import ghz2_reduced_by_hand
+from oracles import fidelity_from_factors, ghz2_reduced_by_hand
 
 
 def herm(reg, mat):
@@ -140,6 +140,30 @@ class TestDistances:
     def test_self_fidelity(self):
         rho = DensityOperator(register(2), random_density_matrix(4, 3, task_rng(9)))
         assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
+
+    def test_ghz_against_zero(self):
+        assert abs(fidelity(ghz_state(2), zero_state(2)) - 1.0 / math.sqrt(2.0)) <= 1e-12
+
+    @given(st.integers(1, 3), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_pure_state_fidelity_is_the_overlap(self, n, seed):
+        rng = task_rng(seed)
+        u = haar_state_vector(2 ** n, rng)
+        v = haar_state_vector(2 ** n, rng)
+        a = DensityOperator(register(n), np.outer(u, u.conj()))
+        b = DensityOperator(register(n), np.outer(v, v.conj()))
+        assert abs(fidelity(a, b) - abs(np.vdot(u, v))) <= 1e-12
+
+    @pytest.mark.parametrize("n, rank_a, rank_b", [(2, 2, 1), (2, 3, 2), (3, 2, 3), (3, 5, 1)])
+    def test_rank_deficient_mixed_pair(self, n, rank_a, rank_b):
+        rng = task_rng(10 * n + rank_a + rank_b)
+        d = 2 ** n
+        a, b = (rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)) for k in (rank_a, rank_b))
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)  # unit trace
+        rho = DensityOperator(register(n), a @ a.conj().T)
+        sigma = DensityOperator(register(n), b @ b.conj().T)
+        assert abs(fidelity(rho, sigma) - fidelity_from_factors(a, b)) <= 1e-12
+        assert abs(fidelity(sigma, rho) - fidelity_from_factors(a, b)) <= 1e-12
 
     def test_orthogonal_trace_distance(self):
         assert trace_distance(zero_state(1), ones_state(1)) == pytest.approx(1.0)

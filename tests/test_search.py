@@ -46,7 +46,7 @@ from cxtherm.search import (
 )
 from cxtherm.thermo import ThermalModel, compression_search, erasure_search, gibbs_preserving_gate_set
 
-from oracles import dense_pullback, dfs_enumerate_effects, embedded_kraus
+from oracles import dense_pullback, dfs_enumerate_effects, embedded_kraus, first_occurrence_chain
 
 TOL = 1e-12
 SLACK = 1e-12  # the solvers' feasibility slack on tr(Q rho) >= eta
@@ -99,6 +99,32 @@ def test_effect_sets_equal_the_oracle(gate_set, n, r_max):
         oracle = keys(dfs_enumerate_effects(gate_set, r, n, dedup=False), with_mask)
         assert keys(engine, with_mask) == oracle, (n, r)
         assert len(engine) == len(oracle), (n, r)
+
+
+ENERGIES = (0.3, 1.1, 0.7, 1.9)
+CHAIN_FAMILIES = {
+    "default": lambda n, connectivity: default_gate_set(connectivity),
+    "gibbs": lambda n, connectivity: gibbs_preserving_gate_set(ThermalModel(ENERGIES[:n]), connectivity),
+    # equal rows under different masks, which a channel set keeps apart
+    "swap-dephase": lambda n, connectivity: GateSet("finite", SWAP_DEPHASE.gates, connectivity),
+}
+
+
+@pytest.mark.parametrize("connectivity", ["all-to-all", "chain"])
+@pytest.mark.parametrize("family", list(CHAIN_FAMILIES))
+@pytest.mark.parametrize("n, levels", [(2, 3), (3, 2), (4, 2)])
+def test_growth_equals_first_occurrence_dedup(n, levels, family, connectivity):
+    # a fresh chain, grown here: rows bitwise, and masks, parents and gates
+    gate_set = CHAIN_FAMILIES[family](n, connectivity)
+    cached = effect_set(gate_set, n)
+    reach = ReachableSet(cached.alphabet, n, cached.rows[: cached.ends[0]], cached.step,
+                         cached.keyed_by_mask)
+    reach.upto(levels)
+    rows, masks, parents, gates = first_occurrence_chain(reach, levels)
+    assert np.array_equal(reach.rows, rows)
+    assert np.array_equal(reach.masks, masks)
+    assert np.array_equal(reach.parents, parents)
+    assert np.array_equal(reach.gates, gates)
 
 
 def test_provenance_reaches_each_effect():
