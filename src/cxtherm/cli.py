@@ -13,7 +13,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -216,7 +216,7 @@ def save_state_file(path: str | Path, rho: DensityOperator) -> None:
 
 
 def _gate_set(cfg: RunConfig) -> GateSet:
-    if cfg.values.get("gate_set"):
+    if cfg.gate_set:
         try:
             return parse_gate_set(Path(cfg.gate_set).read_text())
         except (OSError, ValueError) as exc:
@@ -224,20 +224,30 @@ def _gate_set(cfg: RunConfig) -> GateSet:
     return default_gate_set(cfg.values.get("connectivity", "all-to-all"))
 
 
-def _unit_factor(units: str) -> float:
-    return 1.0 / LOG2 if units == "bits" else 1.0
+# entropy and work columns: handlers build rows in nats, `_in_units` converts
+_NAT_COLUMNS = frozenset({
+    "value", "primal", "dual", "beta_work", "mean_entropy", "min_entropy",
+    "mean_entropy_lower", "max_abs_delta", "E", "dE_dt", "bound",
+    "relative_entropy", "threshold", "min_slack",
+})
 
 
-def _print_and_emit(cfg: RunConfig, rows: list[dict], columns: list[str], default_name: str):
-    meta = cfg.as_meta()
-    out = cfg.values.get("output")
+def _in_units(cfg: RunConfig, rows: list[dict]) -> list[dict]:
+    if cfg.units != "bits":
+        return rows
+    scale = 1.0 / LOG2
+    return [{k: v * scale if k in _NAT_COLUMNS else v for k, v in row.items()} for row in rows]
+
+
+def _emit(cfg: RunConfig, rows: list[dict]) -> None:
+    """Write the table to --output; experiments default to <subcommand>-<seed>.csv."""
+    out = cfg.output
     if out is None and cfg.subcommand in (
         "transition", "quench", "entangle", "decouple", "probe-conjecture"
     ):
-        out = f"{default_name}-{cfg.seed}.csv"
+        out = f"{cfg.subcommand}-{cfg.seed}.csv"
     if out:
-        fmt = "json" if str(out).endswith(".json") else "csv"
-        emit(rows, columns, meta, out, fmt)
+        emit(rows, cfg.as_meta(), out)
         print(f"wrote {out}")
 
 
@@ -248,118 +258,74 @@ def _print_and_emit(cfg: RunConfig, rows: list[dict], columns: list[str], defaul
 def _cmd_entropy(cfg: RunConfig) -> int:
     rho = load_state(cfg.state, cfg.n, cfg.seed)
     res = hyp_entropy(rho, cfg.eta)
-    scale = _unit_factor(cfg.units)
-    print(f"H_hyp = {canonical_value(res.value * scale)} {cfg.units}")
-    rows = [{
-        "value": res.value * scale,
-        "primal": res.primal_value * scale,
-        "dual": res.dual_value * scale,
-        "eta": cfg.eta,
-    }]
-    _print_and_emit(cfg, rows, ["value", "primal", "dual", "eta"], "entropy")
+    [row] = _in_units(cfg, [{
+        "value": res.value, "primal": res.primal_value, "dual": res.dual_value, "eta": cfg.eta,
+    }])
+    print(f"H_hyp = {canonical_value(row['value'])} {cfg.units}")
+    _emit(cfg, [row])
     return 0
 
 
 def _cmd_cx_entropy(cfg: RunConfig) -> int:
     rho = load_state(cfg.state, cfg.n, cfg.seed)
-    gs = _gate_set(cfg)
-    est = cx_entropy(
-        rho, gs, cfg.r, cfg.eta,
-        reduced=bool(cfg.values.get("reduced")), threads=cfg.threads,
-    )
-    scale = _unit_factor(cfg.units)
-    print(f"H = {canonical_value(est.value * scale)} {cfg.units} ({est.certainty})")
-    rows = [{
-        "value": est.value * scale,
-        "certainty": est.certainty,
-        "r": cfg.r,
-        "eta": cfg.eta,
-        "reduced": bool(cfg.values.get("reduced")),
-    }]
-    _print_and_emit(cfg, rows, ["value", "certainty", "r", "eta", "reduced"], "cx-entropy")
+    est = cx_entropy(rho, _gate_set(cfg), cfg.r, cfg.eta, reduced=cfg.reduced, threads=cfg.threads)
+    [row] = _in_units(cfg, [{
+        "value": est.value, "certainty": est.certainty, "r": cfg.r, "eta": cfg.eta,
+        "reduced": cfg.reduced,
+    }])
+    print(f"H = {canonical_value(row['value'])} {cfg.units} ({est.certainty})")
+    _emit(cfg, [row])
     return 0
 
 
 def _cmd_erasure(cfg: RunConfig) -> int:
     rho = load_state(cfg.state, cfg.n, cfg.seed)
-    gs = _gate_set(cfg)
     model = thermo.ThermalModel.degenerate(rho.n)
-    res = thermo.erasure_search(rho, model, gs, cfg.r, cfg.eta)
-    scale = _unit_factor(cfg.units)
-    print(f"beta*W = {canonical_value(res.beta_work * scale)} {cfg.units}")
-    rows = [{
-        "beta_work": res.beta_work * scale,
+    res = thermo.erasure_search(rho, model, _gate_set(cfg), cfg.r, cfg.eta)
+    [row] = _in_units(cfg, [{
+        "beta_work": res.beta_work,
         "resets": " ".join(map(str, res.reset_set)),
         "gates": sum(1 for s in res.protocol.steps if isinstance(s, thermo.GateStep)),
         "success_probability": res.success_probability,
         "protocol": thermo.format_protocol(res.protocol).replace("\n", ";"),
-    }]
-    _print_and_emit(
-        cfg, rows, ["beta_work", "resets", "gates", "success_probability", "protocol"], "erasure"
-    )
+    }])
+    print(f"beta*W = {canonical_value(row['beta_work'])} {cfg.units}")
+    _emit(cfg, [row])
     return 0
 
 
 def _cmd_compress(cfg: RunConfig) -> int:
     rho = load_state(cfg.state, cfg.n, cfg.seed)
-    gs = _gate_set(cfg)
-    res = thermo.compression_search(rho, gs, cfg.r, cfg.epsilon)
+    res = thermo.compression_search(rho, _gate_set(cfg), cfg.r, cfg.epsilon)
     print(f"m_opt = {res.m} qubits (success {canonical_value(res.success_probability)})")
-    rows = [{
+    _emit(cfg, [{
         "m": res.m,
         "kept_qubits": " ".join(map(str, res.kept_qubits)),
         "success_probability": res.success_probability,
-    }]
-    _print_and_emit(cfg, rows, ["m", "kept_qubits", "success_probability"], "compress")
+    }])
     return 0
 
 
 def _cmd_transition(cfg: RunConfig) -> int:
     gs = _gate_set(cfg)
     depths = [int(x) for x in str(cfg.depths).split(",") if x != ""]
-    rows_t = experiments.transition_scan(
+    scan = experiments.transition_scan(
         cfg.n, depths, cfg.r, cfg.eta, gs, cfg.samples, cfg.seed, threads=cfg.threads
     )
-    scale = _unit_factor(cfg.units)
-    rows = []
-    for row in rows_t:
-        rows.append({
-            "depth": row.depth,
-            "gate_count": row.gate_count,
-            "samples": row.samples,
-            "zero_certified_fraction": row.zero_certified_fraction,
-            "mean_entropy": row.mean_entropy * scale,
-            "min_entropy": row.min_entropy * scale,
-            "mean_entropy_lower": row.mean_entropy_lower * scale,
-            "certainty": row.certainty,
-        })
-        print(f"depth {row.depth}: certified-zero {row.zero_certified_fraction:.2f}, "
-              f"min H {canonical_value(row.min_entropy * scale)} {cfg.units}")
-    _print_and_emit(
-        cfg, rows,
-        ["depth", "gate_count", "samples", "zero_certified_fraction",
-         "mean_entropy", "min_entropy", "mean_entropy_lower", "certainty"],
-        "transition",
-    )
+    rows = _in_units(cfg, [asdict(row) for row in scan])
+    for row in rows:
+        print(f"depth {row['depth']}: certified-zero {row['zero_certified_fraction']:.2f}, "
+              f"min H {canonical_value(row['min_entropy'])} {cfg.units}")
+    _emit(cfg, rows)
     return 0
 
 
 def _cmd_entangle(cfg: RunConfig) -> int:
     rep = experiments.continuity_trial(cfg.n, cfg.samples, cfg.seed, threads=cfg.threads)
-    scale = _unit_factor(cfg.units)
-    print(f"max |dE| = {canonical_value(rep.max_abs_delta * scale)} {cfg.units}; "
+    [row] = _in_units(cfg, [asdict(rep)])
+    print(f"max |dE| = {canonical_value(row['max_abs_delta'])} {cfg.units}; "
           f"violations coarse={rep.coarse_violations} refined={rep.refined_violations}")
-    rows = [{
-        "trials": rep.trials,
-        "max_abs_delta": rep.max_abs_delta * scale,
-        "coarse_violations": rep.coarse_violations,
-        "refined_violations": rep.refined_violations,
-    }]
-    _print_and_emit(
-        cfg, rows,
-        ["trials", "max_abs_delta", "coarse_violations", "refined_violations"],
-        "entangle",
-    )
+    _emit(cfg, [row])
     return 0
 
 
@@ -367,55 +333,47 @@ def _cmd_quench(cfg: RunConfig) -> int:
     start, stop, count = (float(x) for x in str(cfg.times).split(":"))
     times = list(np.linspace(start, stop, int(count)))
     trace = experiments.ising_quench(cfg.n, cfg.coupling, cfg.transverse, times)
-    scale = _unit_factor(cfg.units)
-    rows = [
-        {"t": t, "E": e * scale, "dE_dt": d * scale, "bound": trace.bound * scale}
+    rows = _in_units(cfg, [
+        {"t": t, "E": e, "dE_dt": d, "bound": trace.bound}
         for t, e, d in zip(trace.times, trace.values, trace.derivatives)
-    ]
-    worst = max(trace.derivatives)
-    print(f"max dE/dt = {canonical_value(worst * scale)} vs bound "
-          f"{canonical_value(trace.bound * scale)} {cfg.units}")
-    _print_and_emit(cfg, rows, ["t", "E", "dE_dt", "bound"], "quench")
+    ])
+    worst = max(row["dE_dt"] for row in rows)
+    print(f"max dE/dt = {canonical_value(worst)} vs bound "
+          f"{canonical_value(rows[0]['bound'])} {cfg.units}")
+    _emit(cfg, rows)
     return 0
 
 
 def _cmd_decouple(cfg: RunConfig) -> int:
     gs = _gate_set(cfg)
-    n_a = cfg.n - 1  # last qubit is the reference
     rho = load_state(cfg.state, cfg.n, cfg.seed)
+    # the last qubit of the loaded state is the reference
     res = experiments.decoupling_simulate(
-        rho, n_a, gs, cfg.r0, cfg.r1, cfg.k, cfg.eta, cfg.delta, cfg.seed,
+        rho, rho.n - 1, gs, cfg.r0, cfg.r1, cfg.k, cfg.eta, cfg.delta, cfg.seed,
         threads=cfg.threads,
     )
-    scale = _unit_factor(cfg.units)
-    print(f"success={res.success} D={canonical_value(res.relative_entropy * scale)} "
-          f"{cfg.units}; k-bound (conditional on the chain-rule conjecture) = "
-          f"{canonical_value(res.bound_k_bits)} qubits")
-    rows = [{
+    [row] = _in_units(cfg, [{
         "success": res.success,
-        "relative_entropy": res.relative_entropy * scale,
-        "threshold": res.threshold * scale,
+        "relative_entropy": res.relative_entropy,
+        "threshold": res.threshold,
         "bound_k_bits": res.bound_k_bits,
         "conditional_on_conjecture": res.bound_conditional_on_conjecture,
-    }]
-    _print_and_emit(
-        cfg, rows,
-        ["success", "relative_entropy", "threshold", "bound_k_bits",
-         "conditional_on_conjecture"],
-        "decouple",
-    )
+    }])
+    print(f"success={res.success} D={canonical_value(row['relative_entropy'])} "
+          f"{cfg.units}; k-bound (conditional on the chain-rule conjecture) = "
+          f"{canonical_value(res.bound_k_bits)} qubits")
+    _emit(cfg, [row])
     return 0
 
 
 def _cmd_probe_conjecture(cfg: RunConfig) -> int:
-    gs = _gate_set(cfg)
     res = experiments.decoupling_probe(
-        (1, 1, 1), gs, cfg.r, cfg.eta, cfg.samples, cfg.seed, threads=cfg.threads
+        (1, 1, 1), _gate_set(cfg), cfg.r, cfg.eta, cfg.samples, cfg.seed, threads=cfg.threads
     )
-    print(f"min slack = {canonical_value(res.min_slack)} nats over {res.trials} trials")
-    rows = [{"trials": res.trials, "min_slack": res.min_slack,
-             "violation": res.violation is not None}]
-    _print_and_emit(cfg, rows, ["trials", "min_slack", "violation"], "probe-conjecture")
+    [row] = _in_units(cfg, [{"trials": res.trials, "min_slack": res.min_slack,
+                             "violation": res.violation is not None}])
+    print(f"min slack = {canonical_value(row['min_slack'])} {cfg.units} over {res.trials} trials")
+    _emit(cfg, [row])
     if res.violation is not None:
         path = f"conjecture-violation-{cfg.seed}.json"
         Path(path).write_text(json.dumps(res.violation, indent=2, sort_keys=True) + "\n")
@@ -428,7 +386,7 @@ def _cmd_selftest(cfg: RunConfig) -> int:
     report = run_selftest(seed=cfg.seed, threads=cfg.threads)
     text = "\n".join(report) + "\n"
     sys.stdout.write(text)
-    if cfg.values.get("output"):
+    if cfg.output:
         Path(cfg.output).write_text(text)
     return 0 if all(line.startswith("ok ") for line in report) else 1
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropies import check_test_args
 from .gates import (
     GateSet,
     expand_operator,
@@ -59,18 +60,6 @@ class ConditionalSpec:
             raise ValueError("conditional partition labels overlap")
         if not self.part_a or not self.part_b:
             raise ValueError("conditional partition needs nonempty A and B")
-
-
-def _check_args(rho: DensityOperator, gamma: HermitianOperator | None, r: int, eta: float):
-    if r < 0:
-        raise ValueError("complexity budget r must be >= 0")
-    if not 0.0 < eta <= rho.trace() + 1e-12:
-        raise ValueError(f"eta must lie in (0, tr(rho)] = (0, {rho.trace():.12g}]")
-    if gamma is not None:
-        if gamma.register.labels != rho.register.labels:
-            raise ValueError("state and reference must share a register")
-        if np.linalg.eigvalsh(gamma.matrix).min() < -1e-10:
-            raise ValueError("reference must be positive-semidefinite")
 
 
 def _is_scalar_identity(matrix: np.ndarray) -> float | None:
@@ -151,7 +140,9 @@ def cx_relative_entropy(
     `threads` parallelizes the heuristic's restarts; enumeration runs in the
     calling thread.
     """
-    _check_args(rho, gamma, r, eta)
+    if r < 0:
+        raise ValueError("complexity budget r must be >= 0")
+    check_test_args(rho, gamma, eta)
     if gate_set.kind == "finite":
         return _enumeration_estimate(rho, gamma, gate_set, r, eta, reduced)
 

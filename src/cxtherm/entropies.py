@@ -218,18 +218,23 @@ def _neyman_pearson(rho: np.ndarray, gamma: np.ndarray, eta: float):
     return beta_primal, beta_dual, q, mu
 
 
+def check_test_args(rho: DensityOperator, gamma: HermitianOperator, eta: float) -> None:
+    """What every hypothesis test of rho against Gamma at acceptance eta
+    needs: one register, eta in (0, tr rho], Gamma positive-semidefinite."""
+    if rho.register.labels != gamma.register.labels:
+        raise ValueError("state and reference must share a register")
+    if not 0.0 < eta <= rho.trace() + 1e-12:
+        raise ValueError(f"eta must lie in (0, tr(rho)] = (0, {rho.trace():.12g}]")
+    if np.linalg.eigvalsh(gamma.matrix).min() < -1e-10:
+        raise ValueError("reference operator must be positive-semidefinite")
+
+
 def hyp_relative_entropy(
     rho: DensityOperator, gamma: HermitianOperator, eta: float
 ) -> HypTestResult:
     """Hypothesis-testing relative entropy D_H^eta(rho || Gamma), exact."""
-    if rho.register.labels != gamma.register.labels:
-        raise ValueError("state and reference must share a register")
-    tr_rho = rho.trace()
-    if not (0.0 < eta <= tr_rho + 1e-12):
-        raise ValueError(f"eta must lie in (0, tr(rho)] = (0, {tr_rho:.12g}]")
-    if np.linalg.eigvalsh(gamma.matrix).min() < -1e-10:
-        raise ValueError("reference operator must be positive-semidefinite")
-    eta = min(eta, tr_rho)
+    check_test_args(rho, gamma, eta)
+    eta = min(eta, rho.trace())
 
     beta_p, beta_d, q, mu = _neyman_pearson(rho.matrix, gamma.matrix, eta)
     effect = PovmEffect(rho.register, q)

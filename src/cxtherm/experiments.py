@@ -142,6 +142,8 @@ def transition_scan(
 ) -> list[TransitionRow]:
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if not depths:
+        raise ValueError("depths must hold at least one depth")
     rows = []
     for depth in depths:
         gate_count = sum(len(layer) for layer in brickwork_layers(n, depth))

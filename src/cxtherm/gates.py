@@ -299,21 +299,12 @@ def placed_alphabet(gate_set: GateSet, n: int) -> tuple[PlacedGate, ...]:
 
 
 def _place(gate_set: GateSet, n: int) -> tuple[PlacedGate, ...]:
+    pairs = edges(gate_set.connectivity, n)
+    placements = [(g, e) for g in gate_set.gates if not g.is_identity for e in pairs]
+    placements += [(g, e) for g, e in gate_set.placed_extra if max(e) < n]
     out: list[PlacedGate] = []
     seen: set[bytes] = set()
-    pairs = list(edges(gate_set.connectivity, n))
-    for gate in gate_set.gates:
-        if gate.is_identity:
-            continue
-        for e in pairs:
-            pg = PlacedGate(gate, e, n)
-            key = pg.matrix_key()
-            if key not in seen:
-                seen.add(key)
-                out.append(pg)
-    for gate, e in gate_set.placed_extra:
-        if max(e) >= n:
-            continue
+    for gate, e in placements:
         pg = PlacedGate(gate, e, n)
         key = pg.matrix_key()
         if key not in seen:

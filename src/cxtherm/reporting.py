@@ -64,11 +64,9 @@ def write_json(path: str | Path, rows: Sequence[Mapping], meta: Mapping) -> None
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def emit(rows: Sequence[Mapping], columns: Sequence[str], meta: Mapping,
-         path: str | Path, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        write_csv(path, rows, columns, meta)
-    elif fmt == "json":
+def emit(rows: Sequence[Mapping], meta: Mapping, path: str | Path) -> None:
+    """JSON for a path ending in .json, CSV with the first row's columns otherwise."""
+    if str(path).endswith(".json"):
         write_json(path, rows, meta)
     else:
-        raise ValueError(f"unknown output format {fmt!r}")
+        write_csv(path, rows, list(rows[0]), meta)

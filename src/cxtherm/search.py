@@ -157,13 +157,7 @@ class ReachableSet:
         self.parents = np.full(len(start), -1)
         self.gates = np.full(len(start), -1)
         self.ends = [len(start)]
-        self._index: dict[int, list[int]] = {}
-        for i, key in enumerate(_rounded(self.rows)):
-            self._index.setdefault(self._hash(key.tobytes(), i), []).append(i)
         self._lock = threading.Lock()
-
-    def _hash(self, key: bytes, mask: int) -> int:
-        return hash((key, mask) if self.keyed_by_mask else key)
 
     def upto(self, level: int) -> tuple[np.ndarray, np.ndarray, bool]:
         """(rows, masks) of R_level, and whether they had to be built."""
@@ -181,31 +175,27 @@ class ReachableSet:
         masks: list[int] = []
         parents: list[int] = []
         gates: list[int] = []
-        # keys[j] is row j rounded: every stored row once per level, each kept
-        # row as it is kept
-        keys = [row.tobytes() for row in _rounded(self.rows)]
-
-        def same(j: int, key: bytes, mask: int) -> bool:
-            row_mask = self.masks[j] if j < hi else masks[j - hi]
-            return keys[j] == key and (not self.keyed_by_mask or row_mask == mask)
-
+        # the rounded key of every stored row, taken once per level, and of
+        # each new row as it is kept
+        seen = {
+            (key.tobytes(), int(mask)) if self.keyed_by_mask else key.tobytes()
+            for key, mask in zip(_rounded(self.rows), self.masks)
+        }
         for g, pg in enumerate(self.alphabet):
             for start in range(lo, hi, CHUNK_ROWS):
                 stepped = self.step(pg, self.rows[start : start + CHUNK_ROWS])
                 for t, key_row in enumerate(_rounded(stepped)):
                     parent = start + t
                     mask = int(self.masks[parent])
-                    key = key_row.tobytes()
-                    bucket = self._index.setdefault(self._hash(key, mask), [])
-                    if any(same(j, key, mask) for j in bucket):
+                    key = (key_row.tobytes(), mask) if self.keyed_by_mask else key_row.tobytes()
+                    if key in seen:
                         continue
-                    bucket.append(hi + len(kept))
-                    keys.append(key)
+                    seen.add(key)
                     kept.append(stepped[t].copy())  # a view would pin the whole batch
                     masks.append(mask)
                     parents.append(parent)
                     gates.append(g)
-        del keys  # freed before the copy, which sets the peak
+        del seen  # freed before the copy, which sets the peak
         self.rows = np.vstack([self.rows, *kept])  # one copy per level
         self.masks = np.concatenate([self.masks, np.array(masks, dtype=int)])
         self.parents = np.concatenate([self.parents, np.array(parents, dtype=int)])
@@ -245,11 +235,12 @@ _EFFECT_SETS = BoundedCache()
 
 def effect_set(gate_set: GateSet, n: int) -> ReachableSet:
     """The cached chain M_0 <= M_1 <= ... of this gate-set content on n qubits."""
-    alphabet = placed_alphabet(gate_set, n)
 
     def build() -> ReachableSet:
         projectors = pack(mask_matrix(n)[:, :, None] * np.eye(2 ** n))
-        return ReachableSet(alphabet, n, projectors, _pull_back, not gate_set.is_unitary_only)
+        return ReachableSet(
+            placed_alphabet(gate_set, n), n, projectors, _pull_back, not gate_set.is_unitary_only
+        )
 
     return _EFFECT_SETS.get((gate_set_key(gate_set), n), build)
 

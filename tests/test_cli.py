@@ -8,7 +8,8 @@ import pytest
 from cxtherm import cxentropy
 from cxtherm.cli import dispatch, load_state, load_state_file, save_state_file
 from cxtherm.errors import ConfigError
-from cxtherm.gates import I2, GateSet, Z, channel_gate, format_gate_set
+from cxtherm.experiments import decoupling_simulate
+from cxtherm.gates import I2, GateSet, Z, channel_gate, default_gate_set, format_gate_set
 from cxtherm.registers import ghz_state, maximally_mixed, zero_state
 from cxtherm.reporting import config_hash, write_csv, write_json
 from cxtherm.sampling import sample_density
@@ -137,6 +138,7 @@ class TestDispatch:
         (["decouple", "--n", "3", "--k", "-1"], "k"),
         (["decouple", "--n", "3", "--r0", "-1"], "r0"),
         (["decouple", "--n", "3", "--r0", "3"], "r0"),
+        (["transition", "--depths", ""], "depths"),
     ])
     def test_empty_counts_and_grids_exit_2(self, args, name, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -144,12 +146,58 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"{name} must" in err
 
+    def test_decouple_reference_is_last_qubit_of_loaded_state(self, tmp_path, run_cli):
+        # ghz4 under the default --n 3: A is three qubits, so discarding all of
+        # them (k = 3) is allowed and leaves the 1-qubit reference
+        res = run_cli(["decouple", "--state", "ghz4", "--k", "3", "--output", "d.csv"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        with open(tmp_path / "d.csv") as fh:
+            [row] = list(csv.DictReader(fh))
+        want = decoupling_simulate(ghz_state(4), 3, default_gate_set(), 1, 2, 3, 0.999, 0.25, 0)
+        assert float(row["relative_entropy"]) == pytest.approx(want.relative_entropy, abs=1e-11)
+        assert float(row["bound_k_bits"]) == pytest.approx(want.bound_k_bits, abs=1e-11)
+        assert row["success"] == str(want.success).lower()
+
+    def test_probe_conjecture_units_bits(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        slack = {}
+        for units in ("nats", "bits"):
+            args = ["probe-conjecture", "--samples", "5", "--r", "1", "--eta", "0.9",
+                    "--units", units, "--output", f"{units}.csv"]
+            assert dispatch(args) == 0
+            assert f" {units} over 5 trials" in capsys.readouterr().out
+            with open(tmp_path / f"{units}.csv") as fh:
+                [row] = list(csv.DictReader(fh))
+            assert row["units"] == units
+            slack[units] = float(row["min_slack"])
+        assert slack["nats"] > 0.0
+        assert slack["bits"] == pytest.approx(slack["nats"] / math.log(2.0), rel=1e-11)
+
     def test_probe_conjecture_exit_codes(self, tmp_path, run_cli):
         res = run_cli(["probe-conjecture", "--samples", "5", "--r", "1",
                        "--eta", "0.9"], tmp_path)
         assert res.returncode in (0, 4)
         if res.returncode == 4:
             assert "serialized" in res.stdout
+
+
+# every table's columns, in order, after the units, seed and config_hash columns
+CSV_HEADERS = [
+    (["entropy"], "value,primal,dual,eta"),
+    (["cx-entropy", "--r", "0"], "value,certainty,r,eta,reduced"),
+    (["erasure", "--n", "1", "--r", "0"],
+     "beta_work,resets,gates,success_probability,protocol"),
+    (["compress", "--n", "2", "--r", "0"], "m,kept_qubits,success_probability"),
+    (["transition", "--depths", "0", "--samples", "1", "--r", "0"],
+     "depth,gate_count,samples,zero_certified_fraction,mean_entropy,min_entropy,"
+     "mean_entropy_lower,certainty"),
+    (["entangle", "--samples", "1"],
+     "trials,max_abs_delta,coarse_violations,refined_violations"),
+    (["quench", "--n", "2", "--times", "0:1:2"], "t,E,dE_dt,bound"),
+    (["decouple", "--n", "2", "--r0", "0", "--r1", "0"],
+     "success,relative_entropy,threshold,bound_k_bits,conditional_on_conjecture"),
+    (["probe-conjecture", "--samples", "1", "--r", "0"], "trials,min_slack,violation"),
+]
 
 
 class TestEmission:
@@ -177,6 +225,13 @@ class TestEmission:
         write_csv(tmp_path / "e.csv", [], ["a"], {"units": "nats", "seed": 0,
                                                   "config_hash": "x"})
         assert len((tmp_path / "e.csv").read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("args, columns", CSV_HEADERS, ids=[a[0] for a, _ in CSV_HEADERS])
+    def test_csv_header_per_subcommand(self, args, columns, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert dispatch([*args, "--output", "h.csv"]) == 0
+        header = (tmp_path / "h.csv").read_text().splitlines()[0]
+        assert header == "units,seed,config_hash," + columns
 
     def test_config_hash_stable(self):
         a = config_hash({"n": 3, "eta": 0.9})

@@ -144,6 +144,29 @@ class TestRelativeEntropy:
         with pytest.raises(ValueError):
             cx_entropy(rho, gate_set, 1, 0.9)
 
+    @pytest.mark.parametrize("case", ["register", "eta", "psd"])
+    def test_rejects_what_the_unrestricted_test_rejects(self, case, gate_set):
+        rho = rand_state(2, 3)
+        gamma = HermitianOperator(register(2), np.eye(4))
+        eta = 0.9
+        if case == "register":
+            gamma = HermitianOperator(QubitRegister(("a", "b")), np.eye(4))
+        elif case == "eta":
+            eta = 1.5
+        else:
+            gamma = HermitianOperator(register(2), np.diag([1.0, 1.0, 1.0, -0.1]))
+        with pytest.raises(ValueError) as unrestricted:
+            hyp_relative_entropy(rho, gamma, eta)
+        with pytest.raises(ValueError) as restricted:
+            cx_relative_entropy(rho, gamma, gate_set, 1, eta)
+        assert str(restricted.value) == str(unrestricted.value)
+
+    def test_negative_budget(self, gate_set):
+        rho = rand_state(2, 3)
+        gamma = HermitianOperator(register(2), np.eye(4))
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            cx_relative_entropy(rho, gamma, gate_set, -1, 0.9)
+
 
 class TestMonotonicity:
     @given(st.integers(0, 5_000))
