@@ -155,30 +155,28 @@ def load_config(ns: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 # state loading and matrix files
 
-_STATE_RE = re.compile(r"^([a-z]+)(\d*)$")
+# name, trailing digits (n), and the argument list of haar(...) and mixture(...)
+_STATE_RE = re.compile(r"^([a-z]+)(\d*)(?:\((.*)\))?$")
 
 
 def load_state(spec: str, n: int, seed: int) -> DensityOperator:
     """Builtin names (zero, ones, ghz, maxmixed, haar(seed), mixture(eps, seed),
-    trailing digits override n) or a matrix file path."""
+    trailing digits override n, e.g. ghz4 or haar4(5)) or a matrix file path."""
     spec = spec.strip()
-    if spec.startswith("haar"):
-        arg = spec[4:].strip("()")
-        s = int(arg) if arg else seed
-        return sample_pure_state(n, s)
-    if spec.startswith("mixture"):
-        arg = spec[7:].strip("()")
-        parts = [p.strip() for p in arg.split(",")] if arg else []
+    m = _STATE_RE.match(spec)
+    name, digits, args = m.groups() if m else (None, "", None)
+    if digits:
+        n = int(digits)
+    if name == "haar":
+        return sample_pure_state(n, int(args) if args else seed)
+    if name == "mixture":
+        parts = [p.strip() for p in args.split(",")] if args else []
         eps = float(parts[0]) if parts else 0.1
         s = int(parts[1]) if len(parts) > 1 else seed
         psi = sample_pure_state(n, s)
         mat = (1.0 - eps) * zero_state(n).matrix + eps * psi.matrix
         return DensityOperator(register(n), mat)
-    m = _STATE_RE.match(spec)
-    if m and m.group(1) in ("zero", "ones", "ghz", "maxmixed", "mixed"):
-        name = m.group(1)
-        if m.group(2):
-            n = int(m.group(2))
+    if args is None and name in ("zero", "ones", "ghz", "maxmixed", "mixed"):
         builders = {
             "zero": zero_state,
             "ones": ones_state,
@@ -330,8 +328,12 @@ def _cmd_entangle(cfg: RunConfig) -> int:
 
 
 def _cmd_quench(cfg: RunConfig) -> int:
-    start, stop, count = (float(x) for x in str(cfg.times).split(":"))
-    times = list(np.linspace(start, stop, int(count)))
+    try:
+        start, stop, count = (float(x) for x in str(cfg.times).split(":"))
+        count = int(count)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"--times must be start:stop:count, got {cfg.times!r}") from None
+    times = list(np.linspace(start, stop, count))
     trace = experiments.ising_quench(cfg.n, cfg.coupling, cfg.transverse, times)
     rows = _in_units(cfg, [
         {"t": t, "E": e, "dE_dt": d, "bound": trace.bound}

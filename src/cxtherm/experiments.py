@@ -253,7 +253,7 @@ def continuity_trial(
             u4 = _exp_minus_i(0.5 * (h + h.conj().T))
         else:
             raise ValueError(f"unknown gate source {gate_source!r}")
-        evolved = DensityOperator(
+        evolved = DensityOperator._derived(
             rho.register, apply_local(unitary_gate("u", u4), (pos, pos + 1), rho.matrix)
         )
         delta = abs(entanglement_E(evolved) - entanglement_E(rho))
@@ -473,7 +473,7 @@ def decoupling_simulate(
             break
         pg = alpha[int(rng.integers(len(alpha)))]
         sigma = apply_local(pg.gate, pg.edge, sigma)
-    rho_prime = DensityOperator(rho_ar.register, sigma)
+    rho_prime = DensityOperator._derived(rho_ar.register, sigma)
 
     keep = labels[k:]  # discard the first k qubits of A
     rho_a2r = partial_trace(rho_prime, keep)

@@ -7,10 +7,11 @@ certifies a one-sided bound, so only feasibility matters for soundness and
 the optimizer is free to be greedy.
 
 L-BFGS-B gets the objective's exact gradient, not finite differences: one
-forward sweep carries rho and Gamma through the circuit, one backward sweep
-pulls the mask projector back, and each gate's derivative along the 15
-generators comes from the Daleckii-Krein divided differences of its
-exponential.  Gates act locally on the (2,)*2n view of the register.
+forward sweep carries rho and Gamma through the circuit (Gamma = I is left
+out: U I U^dag = I), one backward sweep pulls the mask projector back, and
+each gate's derivative along the 15 generators comes from the
+Daleckii-Krein divided differences of its exponential.  Gates act locally
+on the (2,)*2n view of the register.
 `solver["restarts_detail"]` reports each restart in restart order: its
 iterations and evaluations summed over the penalty stages, the last stage's
 weight, and its candidate's acceptance, feasibility and score.
@@ -132,13 +133,18 @@ def _objective(params, layout, p_diag, rho, gamma, eta, penalty, reduced):
     log tr(Q Gamma) - log tr(Q rho) (the second term dropped when `reduced`)
     + penalty max(0, eta - tr(Q rho))^2 for Q = U^dag P U; a max(., 1e-300)
     clamp that is active contributes no derivative.  One forward sweep of
-    rho and Gamma and one backward sweep of P give the gradient.
+    rho and Gamma and one backward sweep of P give the gradient.  `gamma`
+    None stands for Gamma = I: then tr(Q Gamma) = tr P, with no gradient,
+    and Gamma needs no sweep.
     """
     circuit = _circuit(params, layout)
     fed_rho, rho_out = _forward(circuit, layout, rho)
-    fed_gamma, gamma_out = _forward(circuit, layout, gamma)
     accept = float(p_diag @ np.real(np.diag(rho_out)))
-    cost = float(p_diag @ np.real(np.diag(gamma_out)))
+    if gamma is None:
+        cost = float(p_diag.sum())
+    else:
+        fed_gamma, gamma_out = _forward(circuit, layout, gamma)
+        cost = float(p_diag @ np.real(np.diag(gamma_out)))
     shortfall = max(0.0, eta - accept)
     value = math.log(max(cost, 1e-300)) + penalty * shortfall ** 2
     d_cost = 1.0 / cost if cost > 1e-300 else 0.0
@@ -148,7 +154,10 @@ def _objective(params, layout, p_diag, rho, gamma, eta, penalty, reduced):
         if accept > 1e-300:
             d_accept -= 1.0 / accept
     # tr(P U X U^dag) is linear in X, so one backward sweep serves both terms
-    fed = [d_accept * a + d_cost * b for a, b in zip(fed_rho, fed_gamma)]
+    if gamma is None:
+        fed = [d_accept * a for a in fed_rho]
+    else:
+        fed = [d_accept * a + d_cost * b for a, b in zip(fed_rho, fed_gamma)]
     return value, _backward(circuit, layout, p_diag, fed)[1]
 
 
@@ -175,6 +184,7 @@ def heuristic_search(
     masks = np.arange(2 ** n)
     pair_list = edges(connectivity, n)
     tr_rho = float(np.trace(rho).real)
+    swept_gamma = None if np.array_equal(gamma, np.eye(2 ** n)) else gamma
     meta = {"method": "heuristic", "restarts": restarts, "iterations": iterations, "restarts_detail": []}
 
     def candidate_score(q: np.ndarray) -> tuple[float, float]:
@@ -216,7 +226,7 @@ def heuristic_search(
             res = minimize(
                 _objective,
                 x,
-                args=(layout, p_diag, rho, gamma, eta, penalty, reduced),
+                args=(layout, p_diag, rho, swept_gamma, eta, penalty, reduced),
                 method="L-BFGS-B",
                 jac=True,
                 options={"maxiter": iterations},

@@ -74,6 +74,13 @@ def _hermitize(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fitted(reg: QubitRegister, matrix: np.ndarray) -> np.ndarray:
+    m = _hermitize(matrix)
+    if m.shape[0] != reg.dim:
+        raise ValueError("matrix dimension does not match register")
+    return m
+
+
 def _clamp_spectrum(matrix: np.ndarray, lo: float | None, hi: float | None) -> np.ndarray:
     """Clamp eigenvalues into [lo, hi]; tiny excursions beyond the stated
     tolerance are rejected upstream, so this only removes numerical noise."""
@@ -90,10 +97,7 @@ class HermitianOperator:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = _hermitize(self.matrix)
-        if m.shape[0] != self.register.dim:
-            raise ValueError("matrix dimension does not match register")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _fitted(self.register, self.matrix))
 
     @property
     def n(self) -> int:
@@ -122,6 +126,17 @@ class DensityOperator(HermitianOperator):
             raise ValueError(f"density operator trace {tr:.12g} outside (0, 1]")
         if w.min() < CLAMP_THRESHOLD:
             object.__setattr__(self, "matrix", _clamp_spectrum(self.matrix, 0.0, None))
+
+    @classmethod
+    def _derived(cls, reg: QubitRegister, matrix: np.ndarray) -> "DensityOperator":
+        """A state the package built from checked states by a map that keeps
+        states valid (a CPTP gate, RESET, a partial trace, a tensor product).
+        The matrix is hermitized exactly as the public constructor stores it,
+        but its spectrum and trace are not re-checked: the inputs were."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "register", reg)
+        object.__setattr__(rho, "matrix", _fitted(reg, matrix))
+        return rho
 
 
 @dataclass(frozen=True)
@@ -155,7 +170,9 @@ def tensor(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     if set(a.register.labels) & set(b.register.labels):
         raise RegisterMismatchError("tensor factors share labels")
     reg = QubitRegister(a.register.labels + b.register.labels)
-    return _result_type(a, b)(reg, np.kron(a.matrix, b.matrix))
+    cls = _result_type(a, b)
+    build = DensityOperator._derived if cls is DensityOperator else cls
+    return build(reg, np.kron(a.matrix, b.matrix))
 
 
 def partial_trace(op: HermitianOperator, keep: Iterable[str]) -> HermitianOperator:
@@ -168,8 +185,9 @@ def partial_trace(op: HermitianOperator, keep: Iterable[str]) -> HermitianOperat
         return op
     reduced = partial_trace_matrix(op.matrix, op.n, kept_idx)
     reg = QubitRegister(tuple(op.register.labels[i] for i in kept_idx))
-    cls = DensityOperator if isinstance(op, DensityOperator) else HermitianOperator
-    return cls(reg, reduced)
+    if isinstance(op, DensityOperator):
+        return DensityOperator._derived(reg, reduced)
+    return HermitianOperator(reg, reduced)
 
 
 def partial_trace_matrix(matrix: np.ndarray, n: int, kept_idx: Sequence[int]) -> np.ndarray:
@@ -238,12 +256,17 @@ def _check_same_register(a: HermitianOperator, b: HermitianOperator):
 
 
 def state_from_vector(vec: np.ndarray, reg: QubitRegister | None = None) -> DensityOperator:
+    """|v><v| / <v|v>; a nonzero finite v makes it rank one with unit trace,
+    so it needs no eigensolver."""
     v = np.asarray(vec, dtype=complex).ravel()
-    v = v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"state vector must be finite and nonzero, norm {norm:.3g}")
+    v = v / norm
     n = int(round(np.log2(v.size)))
     if 2 ** n != v.size:
         raise ValueError("vector length is not a power of two")
-    return DensityOperator(reg or register(n), np.outer(v, v.conj()))
+    return DensityOperator._derived(reg or register(n), np.outer(v, v.conj()))
 
 
 def zero_state(n: int) -> DensityOperator:

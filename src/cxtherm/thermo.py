@@ -149,7 +149,7 @@ def run_protocol(
                 complexity += 1
         else:
             raise ProtocolError(f"unknown protocol step {step!r}")
-    return DensityOperator(rho.register, sigma), CostLedger(complexity, beta_work)
+    return DensityOperator._derived(rho.register, sigma), CostLedger(complexity, beta_work)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def lifted_input(rho: DensityOperator, lift: LiftedProtocol) -> DensityOperator:
     ket0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     for _ in range(lift.m1 + lift.m2):
         sigma = np.kron(sigma, ket0)
-    return DensityOperator(register(lift.protocol.n), sigma)
+    return DensityOperator._derived(register(lift.protocol.n), sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ def g_lower_bound(
                 sigma = np.kron(sigma, ket0)
             for _ in range(m2):
                 sigma = np.kron(sigma, np.eye(2, dtype=complex) / 2.0)
-            tilde = DensityOperator(register(rho.n + m1 + m2), sigma)
+            tilde = DensityOperator._derived(register(rho.n + m1 + m2), sigma)
             est = cx_entropy(tilde, gate_set, r + m1 + m2, eta, threads=threads)
             candidate = est.value - m2 * LOG2
             if candidate < best[0]:

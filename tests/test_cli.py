@@ -12,7 +12,7 @@ from cxtherm.experiments import decoupling_simulate
 from cxtherm.gates import I2, GateSet, Z, channel_gate, default_gate_set, format_gate_set
 from cxtherm.registers import ghz_state, maximally_mixed, zero_state
 from cxtherm.reporting import config_hash, write_csv, write_json
-from cxtherm.sampling import sample_density
+from cxtherm.sampling import sample_density, sample_pure_state
 
 
 class TestLoadState:
@@ -28,6 +28,12 @@ class TestLoadState:
         assert np.array_equal(a.matrix, b.matrix)  # explicit seed wins
         mix = load_state("mixture(0.25, 7)", 2, 0)
         assert mix.matrix[0, 0].real >= 0.75 - 1e-9
+
+    def test_trailing_digits_set_n_for_haar_and_mixture(self):
+        assert np.array_equal(load_state("haar4", 2, 3).matrix, sample_pure_state(4, 3).matrix)
+        assert np.array_equal(load_state("haar4(5)", 2, 3).matrix, sample_pure_state(4, 5).matrix)
+        assert load_state("mixture4", 2, 0).n == 4
+        assert load_state("mixture3(0.25, 7)", 2, 0).n == 3
 
     def test_unknown_spec(self):
         with pytest.raises(ConfigError):
@@ -139,6 +145,8 @@ class TestDispatch:
         (["decouple", "--n", "3", "--r0", "-1"], "r0"),
         (["decouple", "--n", "3", "--r0", "3"], "r0"),
         (["transition", "--depths", ""], "depths"),
+        (["quench", "--times", "0:3"], "--times"),
+        (["quench", "--times", "0:x:3"], "--times"),
     ])
     def test_empty_counts_and_grids_exit_2(self, args, name, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

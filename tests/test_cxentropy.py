@@ -429,6 +429,26 @@ class TestHeuristic:
                     fd = central_difference(lambda x: objective(x)[0], params)
                     assert np.all(np.abs(grad - fd) <= 1e-6 * np.maximum(1.0, np.abs(grad)))
 
+    @pytest.mark.parametrize("n,r", [(2, 1), (3, 2), (4, 3)])
+    def test_identity_gamma_skips_its_sweep(self, n, r, monkeypatch):
+        rng = task_rng(51, n, r)
+        d = 2 ** n
+        rho = random_density_matrix(d, d, rng)
+        p_diag = mask_matrix(n)[int(rng.integers(1, d))]
+        params = rng.normal(scale=0.4, size=15 * r)
+        layout = [tuple(rng.choice(n, size=2, replace=False).tolist()) for _ in range(r)]
+        for reduced in (False, True):
+            args = (layout, p_diag, rho)
+            swept = heuristic._objective(params, *args, np.eye(d), 0.9, 1e3, reduced)
+            skipped = heuristic._objective(params, *args, None, 0.9, 1e3, reduced)
+            assert skipped[0] == pytest.approx(swept[0], abs=1e-12)
+            assert np.abs(skipped[1] - swept[1]).max() <= 1e-12
+        sweeps = []
+        forward = heuristic._forward
+        monkeypatch.setattr(heuristic, "_forward", lambda *a: sweeps.append(1) or forward(*a))
+        cand = heuristic.heuristic_search(rho, np.eye(d), n, r, 0.9, restarts=2, iterations=5, seed=1)
+        assert len(sweeps) == sum(x["evaluations"] for x in cand.meta["restarts_detail"])
+
     def test_one_forward_sweep_per_evaluation(self, monkeypatch):
         counts = {"expm": 0, "nfev": 0, "nit": 0}
         expm, minimize = heuristic.expm, heuristic.minimize
