@@ -422,7 +422,7 @@ def dispatch(argv: list[str]) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (AssertionError, ArithmeticError) as exc:
+    except (AssertionError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
     except (ValueError, OSError) as exc:

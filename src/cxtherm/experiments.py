@@ -22,7 +22,7 @@ from .entropies import binary_entropy, von_neumann
 from .gates import (
     Circuit,
     GateSet,
-    apply_local,
+    apply_circuit,
     apply_local_vector,
     entangling_power,
     expand_operator,
@@ -253,9 +253,7 @@ def continuity_trial(
             u4 = _exp_minus_i(0.5 * (h + h.conj().T))
         else:
             raise ValueError(f"unknown gate source {gate_source!r}")
-        evolved = DensityOperator._derived(
-            rho.register, apply_local(unitary_gate("u", u4), (pos, pos + 1), rho.matrix)
-        )
+        evolved = apply_circuit(Circuit(n, ((unitary_gate("u", u4), (pos, pos + 1)),)), rho)
         delta = abs(entanglement_E(evolved) - entanglement_E(rho))
         nu = math.sin(min(entangling_power(u4)[0], 0.5 * math.pi))
         coarse_ok = delta <= 8.0 * LOG2 / (n - 1) + 1e-9
@@ -467,13 +465,8 @@ def decoupling_simulate(
     # random circuit on A only
     alpha = placed_alphabet(gate_set, n_a) if n_a >= 2 else []
     rng = task_rng(seed)
-    sigma = rho_ar.matrix
-    for _ in range(r0):
-        if not alpha:
-            break
-        pg = alpha[int(rng.integers(len(alpha)))]
-        sigma = apply_local(pg.gate, pg.edge, sigma)
-    rho_prime = DensityOperator._derived(rho_ar.register, sigma)
+    picks = [alpha[int(rng.integers(len(alpha)))] for _ in range(r0 if alpha else 0)]
+    rho_prime = apply_circuit(Circuit(rho_ar.n, tuple((pg.gate, pg.edge) for pg in picks)), rho_ar)
 
     keep = labels[k:]  # discard the first k qubits of A
     rho_a2r = partial_trace(rho_prime, keep)

@@ -1,11 +1,11 @@
 """Two-qubit gate sets, placed gates, circuits, and simple effects.
 
 A gate is always a 4x4 unitary or a 4x4-Kraus channel; single-qubit actions
-are carried as u (x) I factors.  A gate applied once acts locally on the
-(2,)*n view of a statevector or the (2,)*2n view of a matrix; only
-`placed_alphabet` builds full 2^n x 2^n embeddings (`PlacedGate`), for the
-effect-set engine, which reuses one alphabet many times.  Circuit cost
-counts placed non-identity gates.
+are carried as u (x) I factors.  One kernel, `_contract`, applies every gate
+locally to a batch of statevectors or matrices.  Only `placed_alphabet`
+builds full 2^n x 2^n embeddings (`PlacedGate`), for the effect-set
+engine's `apply_matrix` and `pullback`, which reuse one alphabet many
+times.  Circuit cost counts placed non-identity gates.
 """
 
 from __future__ import annotations
@@ -197,42 +197,50 @@ def expand_operator(mat: np.ndarray, n: int, positions: Sequence[int]) -> np.nda
     return np.ascontiguousarray(t.transpose(axes).reshape(2 ** n, 2 ** n))
 
 
-def _contract(tensor: np.ndarray, edge: tuple[int, int], x: np.ndarray) -> np.ndarray:
-    """Contract the trailing half of a (2,)*2k gate tensor with the axes of
-    ordered qubits `edge` in the (2,)*... view of x, a 2^n statevector (k = 2)
-    or 2^n x 2^n matrix (k = 4); its leading half takes their place."""
-    k = tensor.ndim // 2
-    view = (2,) * (x.size.bit_length() - 1)
-    n = 2 * len(view) // k
-    i, j = int(edge[0]), int(edge[1])
+@lru_cache(maxsize=1024)
+def _layout(k: int, n: int, m: int, i: int, j: int) -> tuple[tuple, tuple, tuple]:
+    """For a (2,)*2k tensor on ordered qubits (i, j) of batch items with m
+    indices of 2^n: the (2,)*nm view after the batch axis, tensordot's axes,
+    and the permutation that puts its output back in place."""
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"invalid edge ({i}, {j}) on {n} qubits")
-    axes = [i, j, n + i, n + j][:k]
-    out = np.tensordot(tensor, x.reshape(view), axes=(list(range(k, 2 * k)), axes))
-    return np.ascontiguousarray(np.moveaxis(out, range(k), axes)).reshape(x.shape)
+    axes = (1 + i, 1 + j, 1 + n + i, 1 + n + j)[:k]
+    order = axes + tuple(a for a in range(1 + n * m) if a not in axes)
+    return (2,) * (n * m), (tuple(range(k, 2 * k)), axes), tuple(np.argsort(order))
+
+
+def _contract(tensor: np.ndarray, edge: tuple[int, int], x: np.ndarray) -> np.ndarray:
+    """Contract the trailing half of a (2,)*2k gate tensor with the axes of
+    ordered qubits `edge` in each item of x, a batch (leading axis, any length)
+    of 2^n statevectors or 2^n x 2^n matrices; its leading half takes their
+    place.  k = 2 acts on a matrix's row index, k = 4 on both indices."""
+    n = x.shape[-1].bit_length() - 1
+    view, axes, perm = _layout(tensor.ndim // 2, n, x.ndim - 1, int(edge[0]), int(edge[1]))
+    return np.tensordot(tensor, x.reshape(x.shape[:1] + view), axes=axes).transpose(perm).reshape(x.shape)
 
 
 def apply_local(gate: Gate, edge: tuple[int, int], sigma: np.ndarray) -> np.ndarray:
     """sum_K K sigma K^dag for the gate on ordered qubits `edge`, in O(16 d^2)."""
-    return _contract(gate.superoperator, edge, sigma)
+    return _contract(gate.superoperator, edge, sigma[None])[0]
 
 
 def pullback_local(gate: Gate, edge: tuple[int, int], effect: np.ndarray) -> np.ndarray:
     """sum_K K^dag Q K: the conjugated superoperator, input and output swapped."""
-    return _contract(gate.superoperator.conj().transpose(4, 5, 6, 7, 0, 1, 2, 3), edge, effect)
+    return _contract(gate.superoperator.conj().transpose(4, 5, 6, 7, 0, 1, 2, 3), edge, effect[None])[0]
 
 
 def apply_local_vector(gate: Gate, edge: tuple[int, int], vec: np.ndarray) -> np.ndarray:
-    """U psi for a unitary gate on ordered qubits `edge`, in O(4 d)."""
+    """U psi for a unitary gate on ordered qubits `edge`, in O(4 d), on each
+    statevector along the last axis of vec."""
     if not gate.is_unitary:
         raise ValueError(f"channel {gate.name!r} cannot act on a statevector")
-    return _contract(gate.unitary.reshape((2,) * 4), edge, vec)
+    return _contract(gate.unitary.reshape((2,) * 4), edge, vec.reshape(-1, vec.shape[-1])).reshape(vec.shape)
 
 
 class PlacedGate:
     """A gate bound to an edge of an n-qubit register, with cached embeddings."""
 
-    __slots__ = ("gate", "edge", "n", "unitary_full", "kraus_full")
+    __slots__ = ("gate", "edge", "n", "kraus_full")
 
     def __init__(self, gate: Gate, edge: tuple[int, int], n: int):
         self.gate = gate
@@ -240,7 +248,6 @@ class PlacedGate:
         self.n = n
         mats = (gate.unitary,) if gate.is_unitary else gate.kraus
         self.kraus_full = tuple(expand_operator(k, n, self.edge) for k in mats)
-        self.unitary_full = self.kraus_full[0] if gate.is_unitary else None
 
     def apply_matrix(self, sigma: np.ndarray) -> np.ndarray:
         out = None
@@ -250,7 +257,8 @@ class PlacedGate:
         return out
 
     def apply_vector(self, vec: np.ndarray) -> np.ndarray:
-        return self.unitary_full @ vec
+        """U psi for each statevector along the last axis, by the local kernel."""
+        return apply_local_vector(self.gate, self.edge, vec)
 
     def pullback(self, effect: np.ndarray) -> np.ndarray:
         """Heisenberg-picture adjoint applied to an effect matrix."""
@@ -494,15 +502,16 @@ def format_gate_set(gate_set: GateSet) -> str:
 
 def parse_gate_set(text: str) -> GateSet:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("connectivity"):
-        raise ValueError("gate-set file must start with a connectivity line")
-    connectivity = lines[0].split()[1]
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "connectivity":
+        raise ValueError(f"gate-set file must start with 'connectivity <graph>', got {' '.join(head)!r}")
+    connectivity = head[1]
     gates: list[Gate] = []
     pos = 1
     while pos < len(lines):
         parts = lines[pos].split()
-        if parts[0] != "gate":
-            raise ValueError(f"expected gate declaration, got {lines[pos]!r}")
+        if parts[0] != "gate" or len(parts) != (4 if parts[2:3] == ["channel"] else 3):
+            raise ValueError(f"malformed gate declaration {lines[pos]!r}")
         name, kind = parts[1], parts[2]
         pos += 1
         if kind == "unitary":

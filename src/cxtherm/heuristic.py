@@ -10,8 +10,8 @@ L-BFGS-B gets the objective's exact gradient, not finite differences: one
 forward sweep carries rho and Gamma through the circuit (Gamma = I is left
 out: U I U^dag = I), one backward sweep pulls the mask projector back, and
 each gate's derivative along the 15 generators comes from the
-Daleckii-Krein divided differences of its exponential.  Gates act locally
-on the (2,)*2n view of the register.
+Daleckii-Krein divided differences of its exponential.  Gates act through
+`gates._contract`, and a gate's edge block is a partial trace.
 `solver["restarts_detail"]` reports each restart in restart order: its
 iterations and evaluations summed over the penalty stages, the last stage's
 weight, and its candidate's acceptance, feasibility and score.
@@ -26,8 +26,9 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from .gates import edges, mask_matrix
+from .gates import _contract, edges, mask_matrix
 from .parallel import deterministic_map
+from .registers import partial_trace_matrix
 from .sampling import task_rng
 
 PENALTY_STAGES = (1e2, 1e3, 1e4, 1e5)
@@ -64,31 +65,15 @@ class HeuristicCandidate:
 
 
 def _gate(theta: np.ndarray):
-    """exp(-iH) for H = sum_a theta_a T_a = V diag(lam) V^dag, with V and the
-    divided differences F_ij of exp(-ix) at (lam_i, lam_j), written
-    -i exp(-i(lam_i + lam_j)/2) sinc((lam_i - lam_j)/2) so that degenerate
-    eigenvalues need no special case."""
+    """exp(-iH), as a (2,)*4 tensor, for H = sum_a theta_a T_a = V diag(lam)
+    V^dag, with V and the divided differences F_ij of exp(-ix) at (lam_i,
+    lam_j), written -i exp(-i(lam_i + lam_j)/2) sinc((lam_i - lam_j)/2) so
+    that degenerate eigenvalues need no special case."""
     h = (_GENERATOR_ROWS.T @ theta).reshape(4, 4)
     lam, v = np.linalg.eigh(h)
     mean = 0.5 * (lam[:, None] + lam[None, :])
     half_gap = 0.5 * (lam[:, None] - lam[None, :])
-    return expm(-1j * h), v, -1j * np.exp(-1j * mean) * np.sinc(half_gap / np.pi)
-
-
-def _left(u: np.ndarray, edge: tuple[int, int], x: np.ndarray) -> np.ndarray:
-    """(u on ordered qubits `edge`, identity elsewhere) @ x for a 2^n x 2^n x."""
-    n = x.shape[0].bit_length() - 1
-    t = np.tensordot(u.reshape(2, 2, 2, 2), x.reshape((2,) * n + (-1,)), axes=([2, 3], list(edge)))
-    return np.moveaxis(t, (0, 1), edge).reshape(x.shape)
-
-
-def _edge_block(z: np.ndarray, edge: tuple[int, int]) -> np.ndarray:
-    """The 4x4 m with tr(z (g on `edge`)) = tr(m g) for every 4x4 g: the
-    adjoint of expand_operator, a partial trace over the other qubits."""
-    n = z.shape[0].bit_length() - 1
-    i, j = edge
-    cols = [n + q if q in edge else q for q in range(n)]
-    return np.einsum(z.reshape((2,) * 2 * n), list(range(n)) + cols, [i, j, n + i, n + j]).reshape(4, 4)
+    return expm(-1j * h).reshape((2,) * 4), v, -1j * np.exp(-1j * mean) * np.sinc(half_gap / np.pi)
 
 
 def _backward(circuit, layout, p_diag: np.ndarray, forward=None):
@@ -100,17 +85,20 @@ def _backward(circuit, layout, p_diag: np.ndarray, forward=None):
     E_k, where E_k is P pulled back to just after gate k, and dU_k along
     T_a is V (F o V^dag T_a V) V^dag (Daleckii-Krein).
     """
+    n = len(p_diag).bit_length() - 1
     effect = np.diag(p_diag.astype(complex))
     grad = None if forward is None else np.empty(15 * len(layout))
     for k in reversed(range(len(layout))):
         u, v, divided = circuit[k]
         edge = layout[k]
         if forward is not None:
-            m = _edge_block(forward[k].conj().T @ effect, edge)
+            m = partial_trace_matrix(forward[k].conj().T @ effect, n, sorted(edge))
+            if edge[0] > edge[1]:
+                m = m.reshape((2,) * 4).transpose(1, 0, 3, 2).reshape(4, 4)
             w = (v.conj().T @ m @ v).T * divided
             grad[15 * k : 15 * (k + 1)] = 2.0 * np.real(_GENERATOR_ROWS @ (v.conj() @ w @ v.T).ravel())
-        uh = u.conj().T
-        effect = _left(uh, edge, _left(uh, edge, effect).conj().T).conj().T
+        uh = u.conj().transpose(2, 3, 0, 1)
+        effect = _contract(uh, edge, _contract(uh, edge, effect[None])[0].conj().T[None])[0].conj().T
     return effect, grad
 
 
@@ -118,8 +106,8 @@ def _forward(circuit, layout, x: np.ndarray):
     """Carry x through the circuit: U_k X_k for each gate k, and U X U^dag."""
     fed = []
     for (u, _, _), edge in zip(circuit, layout):
-        fed.append(_left(u, edge, x))
-        x = _left(u, edge, fed[-1].conj().T).conj().T
+        fed.append(_contract(u, edge, x[None])[0])
+        x = _contract(u, edge, fed[-1].conj().T[None])[0].conj().T
     return fed, x
 
 

@@ -65,8 +65,12 @@ def _hermitize(matrix: np.ndarray) -> np.ndarray:
     dev = scale = 0.0
     step = max(1, 2 ** 14 // m.shape[0])
     for a in range(0, m.shape[0], step):
+        # a row sum of |m| is finite iff the row is; max() would drop a NaN
+        block = np.abs(m[a : a + step]).sum(axis=1).max()
+        if not np.isfinite(block):
+            raise ValueError("operator matrix has non-finite entries")
         dev = max(dev, np.abs(m[a : a + step] - out[a : a + step]).sum(axis=1).max())
-        scale = max(scale, np.abs(m[a : a + step]).sum(axis=1).max())
+        scale = max(scale, block)
     if dev > HERMITIAN_TOL * max(scale, 1.0):
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3g})")
     out += m

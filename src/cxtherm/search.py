@@ -6,7 +6,8 @@ grown from start rows as R_k = R_{k-1} u {step(g, x) : x in R_{k-1}, g in the
 alphabet} and deduplicated on entries rounded to 1e-10.  Complex rows are
 stored as real views, so one rounding rule, index and provenance serve
 effects (`effect_set`: simple projectors pulled back, Q -> E^dag(Q), as packed
-Hermitian rows), unitaries (`circuit_complexity`: the identity, V -> U V) and
+Hermitian rows), unitaries (`circuit_complexity`: the identity, V -> U V,
+stored as V^T so that U acts on each of its rows as on a statevector) and
 states (`approx_state_complexity`: |0^n>, psi -> U psi with its global phase
 fixed).  `least_level` finds the first level holding a row with a given
 property.  `CXTHERM_BUDGET` caps every query, see `check_budget`.
@@ -284,11 +285,12 @@ def circuit_complexity(gate_set: GateSet, target: np.ndarray, r_max: int) -> int
     if not all(pg.gate.is_unitary for pg in alphabet):
         raise ValueError("circuit complexity is defined for unitary gate sets")
 
+    # a row holds V^T, whose rows are the images V|b> of the basis states
     def left_multiply(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
         return _real_rows(pg.apply_vector(rows.view(complex).reshape(-1, d, d)))
 
     def matches(rows: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(rows.view(complex).reshape(-1, d, d) - target, ord=2, axis=(1, 2)) <= 1e-8
+        return np.linalg.norm(rows.view(complex).reshape(-1, d, d) - target.T, ord=2, axis=(1, 2)) <= 1e-8
 
     identity = _real_rows(np.eye(d, dtype=complex)[None])
     return least_level(ReachableSet(alphabet, n, identity, left_multiply), r_max, matches)
@@ -315,7 +317,7 @@ def approx_state_complexity(
 
     def prepare(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
         # the global phase is fixed by making the first nonzero amplitude real
-        vecs = pg.apply_vector(rows.view(complex).T).T
+        vecs = pg.apply_vector(rows.view(complex))
         lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs) > 1e-12, axis=1)]
         return _real_rows(vecs / (lead / np.abs(lead))[:, None])
 

@@ -19,6 +19,7 @@ from .gates import (
     SWAP,
     Gate,
     GateSet,
+    apply_circuit,
     apply_local,
     channel_gate,
     edges,
@@ -419,9 +420,7 @@ def compression_search(
     best = minimize_over_effects(gate_set, n, r, [rho.matrix], score)
     circuit = best.circuit
     kept_qubits = _unmasked(n, best.mask_bits)
-    sigma = rho.matrix
-    for gate, edge in circuit.ops:
-        sigma = apply_local(gate, edge, sigma)
+    sigma = apply_circuit(circuit, rho).matrix
     success = float((mask_matrix(n)[best.mask_bits] * np.real(np.diag(sigma))).sum())
     return CompressionResult(int(best.value), circuit, kept_qubits, success)
 
@@ -453,14 +452,14 @@ def parse_protocol(text: str, n: int, gate_set: GateSet) -> Protocol:
         if not ln or ln.startswith("#"):
             continue
         parts = ln.split()
+        if len(parts) != {"RESET": 2, "EXTRACT": 2, "GATE": 4}.get(parts[0]):
+            raise ProtocolError(f"malformed protocol line {ln!r}")
         if parts[0] == "RESET":
             steps.append(Reset(int(parts[1])))
         elif parts[0] == "EXTRACT":
             steps.append(Extract(int(parts[1])))
-        elif parts[0] == "GATE":
+        else:
             if parts[1] not in by_name:
                 raise ProtocolError(f"unknown gate {parts[1]!r}")
             steps.append(GateStep(by_name[parts[1]], (int(parts[2]), int(parts[3]))))
-        else:
-            raise ProtocolError(f"unknown protocol line {ln!r}")
     return Protocol(n, tuple(steps))

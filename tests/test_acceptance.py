@@ -160,7 +160,7 @@ def _prop_partial_trace(idx):
 
 
 _SELF_INVERSE = [pg for pg in placed_alphabet(GS, 2)
-                 if np.allclose(pg.unitary_full @ pg.unitary_full, np.eye(4), atol=1e-12)]
+                 if np.allclose(pg.kraus_full[0] @ pg.kraus_full[0], np.eye(4), atol=1e-12)]
 
 
 def _prop_prerotation(idx):
@@ -168,7 +168,7 @@ def _prop_prerotation(idx):
     pg = _SELF_INVERSE[int(rng.integers(len(_SELF_INVERSE)))]
     rho = rand_state(2, 13_500 + idx)
     rotated = DensityOperator(rho.register,
-                              pg.unitary_full @ rho.matrix @ pg.unitary_full.conj().T)
+                              pg.kraus_full[0] @ rho.matrix @ pg.kraus_full[0].conj().T)
     return (cx_entropy(rotated, GS, 2, 0.8).value
             <= cx_entropy(rho, GS, 1, 0.8).value + 1e-8)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cxtherm import cxentropy
+from cxtherm import cli, cxentropy
 from cxtherm.cli import dispatch, load_state, load_state_file, save_state_file
 from cxtherm.errors import ConfigError
 from cxtherm.experiments import decoupling_simulate
@@ -130,6 +130,17 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "internal error" in err and "config error" not in err
 
+    def test_numerical_failure_exit_5(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, which otherwise reads as a config error
+        def fail(rho, eta):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "hyp_entropy", fail)
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["entropy", "--state", "ghz2"]) == 5
+        err = capsys.readouterr().err
+        assert "internal error: LinAlgError" in err and "config error" not in err
+
     @pytest.mark.parametrize("args, name", [
         (["transition", "--samples", "0"], "samples"),
         (["quench", "--times", "0:1:0"], "times"),
@@ -153,6 +164,18 @@ class TestDispatch:
         assert dispatch(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"{name} must" in err
+
+    @pytest.mark.parametrize("text, line", [
+        ("connectivity all-to-all\ngate cnot\n", "'gate cnot'"),
+        ("connectivity\n", "'connectivity'"),
+        ("connectivity chain\ngate dephase channel\n", "'gate dephase channel'"),
+    ], ids=["gate-without-kind", "bare-connectivity", "channel-without-count"])
+    def test_malformed_gate_set_exit_2(self, text, line, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.gates").write_text(text)
+        assert dispatch(["cx-entropy", "--gate-set", "bad.gates"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot load gate set: ") and line in err
 
     def test_decouple_reference_is_last_qubit_of_loaded_state(self, tmp_path, run_cli):
         # ghz4 under the default --n 3: A is three qubits, so discarding all of

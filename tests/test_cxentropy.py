@@ -214,13 +214,13 @@ class TestStructuralBounds:
 
         alphabet = placed_alphabet(gate_set, 2)
         self_inv = [pg for pg in alphabet
-                    if np.allclose(pg.unitary_full @ pg.unitary_full, np.eye(4), atol=1e-12)]
+                    if np.allclose(pg.kraus_full[0] @ pg.kraus_full[0], np.eye(4), atol=1e-12)]
         for seed in range(3):
             rng = task_rng(seed)
             pg = self_inv[int(rng.integers(len(self_inv)))]
             rho = rand_state(2, 80 + seed)
             rotated = DensityOperator(
-                rho.register, pg.unitary_full @ rho.matrix @ pg.unitary_full.conj().T
+                rho.register, pg.kraus_full[0] @ rho.matrix @ pg.kraus_full[0].conj().T
             )
             h_rot = cx_entropy(rotated, gate_set, 2, 0.8).value
             h_orig = cx_entropy(rho, gate_set, 1, 0.8).value

@@ -38,7 +38,7 @@ from cxtherm.gates import (
     unitary_gate,
 )
 from cxtherm.registers import DensityOperator, ghz_state, register, state_from_vector, zero_state
-from cxtherm.sampling import random_density_matrix, sample_haar_unitary, task_rng
+from cxtherm.sampling import haar_unitary, random_density_matrix, sample_haar_unitary, task_rng
 from cxtherm.search import approx_state_complexity, circuit_complexity, circuit_count, enumerate_effects
 from cxtherm.thermo import (
     Extract,
@@ -122,7 +122,7 @@ class TestEmbedding:
         # placing a gate of the n_a-qubit alphabet straight on the n-qubit
         # register is bit for bit the embedding of its n_a-qubit embedding
         for pg in placed_alphabet(gate_set, n_a):
-            nested = expand_operator(pg.unitary_full, n, list(range(n_a)))
+            nested = expand_operator(pg.kraus_full[0], n, list(range(n_a)))
             assert np.array_equal(expand_operator(pg.gate.unitary, n, pg.edge), nested)
 
 
@@ -138,8 +138,11 @@ class TestLocalApplication:
             for edge in ((i, j), (j, i)):
                 sigma, effect = (random_density_matrix(2 ** n, int(rng.integers(1, 2 ** n + 1)), rng)
                                  for _ in range(2))
-                vec = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-                vec /= np.linalg.norm(vec)
+                vecs = rng.normal(size=(3, 2 ** n)) + 1j * rng.normal(size=(3, 2 ** n))
+                vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+                # the kernel acts on each statevector along the last axis: one,
+                # a batch of 3, the rows of a matrix, the rows of a stack of unitaries
+                statevectors = (vecs[0], vecs, sigma, np.stack([haar_unitary(2 ** n, rng) for _ in range(2)]))
                 for g in gates:
                     kraus_full = embedded_kraus(g, edge, n)
                     dense = dense_apply(kraus_full, sigma)
@@ -147,8 +150,12 @@ class TestLocalApplication:
                     dense = dense_pullback(kraus_full, effect)
                     assert np.abs(pullback_local(g, edge, effect) - dense).max() <= 1e-14
                     if g.is_unitary:
-                        dense = kraus_full[0] @ vec
-                        assert np.abs(apply_local_vector(g, edge, vec) - dense).max() <= 1e-14
+                        for x in statevectors:
+                            dense = x @ kraus_full[0].T
+                            assert np.abs(apply_local_vector(g, edge, x) - dense).max() <= 1e-14
+                        # U X on the row index, the heuristic's sweep step
+                        local = gates_module._contract(g.unitary.reshape((2,) * 4), edge, sigma[None])[0]
+                        assert np.abs(local - kraus_full[0] @ sigma).max() <= 1e-14
 
     @pytest.mark.parametrize("edge", [(0, 0), (0, 3), (-1, 1)])
     def test_edge_off_the_register_rejected(self, gate_set, edge):
@@ -302,8 +309,8 @@ class TestCircuitComplexity:
         gate_set = default_gate_set()
         rng = task_rng(seed)
         alphabet = placed_alphabet(gate_set, 2)
-        a = alphabet[int(rng.integers(len(alphabet)))].unitary_full
-        b = alphabet[int(rng.integers(len(alphabet)))].unitary_full
+        a = alphabet[int(rng.integers(len(alphabet)))].kraus_full[0]
+        b = alphabet[int(rng.integers(len(alphabet)))].kraus_full[0]
         c_ab = circuit_complexity(gate_set, b @ a, 2)
         assert c_ab <= 2
 
@@ -314,7 +321,7 @@ class TestStateComplexity:
 
     def test_bell_matches_brute_force(self, gate_set):
         alphabet = placed_alphabet(gate_set, 2)
-        mats = [pg.unitary_full for pg in alphabet]
+        mats = [pg.kraus_full[0] for pg in alphabet]
         bell = np.zeros(4)
         bell[0] = bell[3] = 1 / math.sqrt(2)
         table = brute_force_state_distance(mats, bell, 2)
@@ -502,8 +509,11 @@ class TestGateSetFiles:
         assert len(back.gates[0].kraus) == 2
 
     def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            parse_gate_set("gate foo unitary\n")
+        # the error names the bad line, the last one of each text
+        for text in ("gate foo unitary\n", "connectivity\n", "connectivity all-to-all\ngate cnot\n",
+                     "connectivity all-to-all\ngate\n", "connectivity chain\ngate dephase channel\n"):
+            with pytest.raises(ValueError, match=repr(text.splitlines()[-1])):
+                parse_gate_set(text)
 
 
 class TestMaskMachinery:

@@ -4,7 +4,8 @@ A top-level name counts as used when it appears as a word anywhere in
 `src/`, `tests/`, `benchmarks/` or the root `conftest.py` apart from its own
 definition; a non-dunder method counts as used when some file reads it as
 `.name`.  Standard library only: `ast` finds the definitions, a regex search
-finds the uses.
+finds the uses.  The package also keeps one local gate contraction: only
+`gates.py` calls `tensordot`.
 """
 
 import ast
@@ -77,3 +78,8 @@ def test_no_unused_imports():
         if path.name != "__init__.py" and (names := unused_imports(path))
     }
     assert unused == {}
+
+
+def test_one_local_contraction():
+    users = sorted(p.name for p in PACKAGE.glob("*.py") if "tensordot" in p.read_text())
+    assert users == ["gates.py"]

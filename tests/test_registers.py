@@ -218,6 +218,14 @@ class TestValidation:
         rho = DensityOperator(register(1), np.diag([0.3, 0.2]))
         assert rho.trace() == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", [HermitianOperator, DensityOperator, PovmEffect, DensityOperator._derived])
+    def test_non_finite_rejected(self, build, bad):
+        # on the diagonal and off it; a NaN must not pass as a zero deviation
+        for m in (np.diag([bad, 0.5]), np.array([[0.5, bad], [bad, 0.5]])):
+            with pytest.raises(ValueError, match="non-finite"):
+                build(register(1), m)
+
 
 class TestHermitize:
     @staticmethod

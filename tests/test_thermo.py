@@ -293,7 +293,7 @@ class TestGBound:
         # tiny instance: value - log(1/eta) <= min work over interleaved
         # protocols with the same resources
         alphabet = placed_alphabet(gate_set, 2)
-        gate_mats = [pg.unitary_full for pg in alphabet[:6]]
+        gate_mats = [pg.kraus_full[0] for pg in alphabet[:6]]
         eta = 0.8
         for seed in (0, 1):
             rho = rand_state(2, 80 + seed, rank=2)
@@ -349,3 +349,9 @@ class TestProtocolFiles:
     def test_unknown_gate_rejected(self, gate_set):
         with pytest.raises(ProtocolError):
             parse_protocol("GATE nope 0 1\n", 2, gate_set)
+
+    @pytest.mark.parametrize("text", ["RESET\n", "EXTRACT 0 1\n", "GATE cnot 0\n", "GATE\n"],
+                             ids=["bare-reset", "extract-two-qubits", "gate-one-qubit", "bare-gate"])
+    def test_wrong_field_count_names_the_line(self, gate_set, text):
+        with pytest.raises(ProtocolError, match=f"malformed protocol line {text.strip()!r}"):
+            parse_protocol(text, 2, gate_set)
