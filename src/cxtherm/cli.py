@@ -196,14 +196,13 @@ def load_state_file(path: str | Path) -> DensityOperator:
     if not lines or not lines[0].startswith("dim "):
         raise ConfigError("state file must start with 'dim d'")
     d = int(lines[0].split()[1])
+    if d < 1 or d & (d - 1):
+        raise ConfigError(f"state file {path}: dim {d} is not a power of two")
     if len(lines) != 1 + d * d:
         raise ConfigError(f"state file needs {d * d} entry lines, found {len(lines) - 1}")
     mat = parse_matrix(lines[1:], d)
-    n = int(round(math.log2(d)))
-    if 2 ** n != d:
-        raise ConfigError("state dimension must be a power of two")
     try:
-        return DensityOperator(register(n), mat)
+        return DensityOperator(register(d.bit_length() - 1), mat)
     except ValueError as exc:
         raise ConfigError(f"invalid density matrix: {exc}") from exc
 

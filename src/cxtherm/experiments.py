@@ -28,8 +28,6 @@ from .gates import (
     expand_operator,
     inverse_circuit,
     placed_alphabet,
-    pullback_effect,
-    simple_effect_from_bits,
     unitary_gate,
 )
 from .parallel import deterministic_map
@@ -115,9 +113,11 @@ def _transition_sample(
     if circuit.complexity <= r:
         inv = inverse_circuit(circuit, gate_set if source == "finite" else None)
         if inv is not None:
-            witness = pullback_effect(inv, simple_effect_from_bits(n, 2 ** n - 1))
-            accept = float(np.vdot(vec, witness.matrix @ vec).real)
-            certified = accept >= eta - 1e-10
+            # the certificate V |0^n><0^n| V^dag accepts psi with |<0^n| V^dag psi>|^2
+            back = vec
+            for gate, edge in inv.ops:
+                back = apply_local_vector(gate, edge, back)
+            certified = abs(back[0]) ** 2 >= eta - 1e-10
     if source == "finite":
         est = cx_entropy(state_from_vector(vec), gate_set, r, eta)
         return certified, est.value, est.value, "exact"

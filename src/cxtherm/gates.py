@@ -2,10 +2,11 @@
 
 A gate is always a 4x4 unitary or a 4x4-Kraus channel; single-qubit actions
 are carried as u (x) I factors.  One kernel, `_contract`, applies every gate
-locally to a batch of statevectors or matrices.  Only `placed_alphabet`
-builds full 2^n x 2^n embeddings (`PlacedGate`), for the effect-set
-engine's `apply_matrix` and `pullback`, which reuse one alphabet many
-times.  Circuit cost counts placed non-identity gates.
+locally to a batch of statevectors or matrices.  A `PlacedGate` builds
+full 2^n x 2^n embeddings only when the effect-set engine, which reuses one
+alphabet many times, first calls its `apply_matrix` or `pullback`;
+`placed_alphabet` deduplicates placements on the gates' own qubits.
+Circuit cost counts placed non-identity gates.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ import numpy as np
 from .registers import DensityOperator, PovmEffect, register
 
 MATRIX_HASH_DECIMALS = 10
+
+
+def _rounded(a: np.ndarray) -> np.ndarray:
+    """The one dedup rule of rows and placed gates: round, fold -0.0 into 0.0."""
+    return np.round(a, MATRIX_HASH_DECIMALS) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +244,17 @@ def apply_local_vector(gate: Gate, edge: tuple[int, int], vec: np.ndarray) -> np
 
 
 class PlacedGate:
-    """A gate bound to an edge of an n-qubit register, with cached embeddings."""
-
-    __slots__ = ("gate", "edge", "n", "kraus_full")
+    """A gate bound to an edge of an n-qubit register; embeddings on first use."""
 
     def __init__(self, gate: Gate, edge: tuple[int, int], n: int):
         self.gate = gate
         self.edge = (int(edge[0]), int(edge[1]))
         self.n = n
-        mats = (gate.unitary,) if gate.is_unitary else gate.kraus
-        self.kraus_full = tuple(expand_operator(k, n, self.edge) for k in mats)
+
+    @cached_property
+    def kraus_full(self) -> tuple[np.ndarray, ...]:
+        mats = (self.gate.unitary,) if self.gate.is_unitary else self.gate.kraus
+        return tuple(expand_operator(k, self.n, self.edge) for k in mats)
 
     def apply_matrix(self, sigma: np.ndarray) -> np.ndarray:
         out = None
@@ -267,9 +274,6 @@ class PlacedGate:
             term = k.conj().T @ effect @ k
             out = term if out is None else out + term
         return out
-
-    def matrix_key(self) -> bytes:
-        return b"".join(np.round(m, MATRIX_HASH_DECIMALS).tobytes() for m in self.kraus_full)
 
 
 class BoundedCache:
@@ -298,27 +302,40 @@ _ALPHABETS = BoundedCache()
 def placed_alphabet(gate_set: GateSet, n: int) -> tuple[PlacedGate, ...]:
     """All distinct placed gates on the connectivity graph, identity excluded.
 
-    Gates whose full-register action coincides (e.g. H (x) I on edges (0,1)
-    and (0,2)) are deduplicated.  Cached per gate-set content and n.
+    Of the placements whose rounded full-register action coincides (e.g.
+    H (x) I on edges (0,1) and (0,2)) the first is kept, found by a key on
+    the gate's own qubits, so no embedding is built.  Cached per gate-set
+    content and n.
     """
     if gate_set.kind != "finite":
         raise ValueError("placed alphabet requires a finite gate set")
     return _ALPHABETS.get((gate_set_key(gate_set), n), lambda: _place(gate_set, n))
 
 
+def _placement_key(gate: Gate, edge: tuple[int, int]) -> tuple:
+    """The rounded Kraus tensor on the qubits the gate acts on, ascending:
+    equal for two placements exactly when their rounded embeddings are."""
+    ks = _rounded(np.stack((gate.unitary,) if gate.is_unitary else gate.kraus))
+    qubits = sorted(edge)
+    if edge[0] > edge[1]:  # swap the gate into sorted order
+        ks = ks.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 1, 4, 3).reshape(-1, 4, 4)
+    if np.array_equal(ks, np.kron(ks[:, ::2, ::2], I2)):  # a (x) I
+        ks, qubits = ks[:, ::2, ::2], qubits[:1]
+    elif np.array_equal(ks, np.kron(I2, ks[:, :2, :2])):  # I (x) b
+        ks, qubits = ks[:, :2, :2], qubits[1:]
+    if len(qubits) == 1 and np.array_equal(ks, ks[:, :1, :1] * I2):  # a phase times I
+        ks, qubits = ks[:, :1, :1], []
+    return tuple(qubits), ks.tobytes()
+
+
 def _place(gate_set: GateSet, n: int) -> tuple[PlacedGate, ...]:
     pairs = edges(gate_set.connectivity, n)
     placements = [(g, e) for g in gate_set.gates if not g.is_identity for e in pairs]
     placements += [(g, e) for g, e in gate_set.placed_extra if max(e) < n]
-    out: list[PlacedGate] = []
-    seen: set[bytes] = set()
+    first: dict[tuple, PlacedGate] = {}
     for gate, e in placements:
-        pg = PlacedGate(gate, e, n)
-        key = pg.matrix_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(pg)
-    return tuple(out)
+        first.setdefault(_placement_key(gate, e), PlacedGate(gate, e, n))
+    return tuple(first.values())
 
 
 # ---------------------------------------------------------------------------
@@ -509,19 +526,19 @@ def parse_gate_set(text: str) -> GateSet:
     gates: list[Gate] = []
     pos = 1
     while pos < len(lines):
-        parts = lines[pos].split()
-        if parts[0] != "gate" or len(parts) != (4 if parts[2:3] == ["channel"] else 3):
-            raise ValueError(f"malformed gate declaration {lines[pos]!r}")
-        name, kind = parts[1], parts[2]
-        pos += 1
-        if kind == "unitary":
-            gates.append(unitary_gate(name, parse_matrix(lines[pos : pos + 16], 4)))
-            pos += 16
-        elif kind == "channel":
-            count = int(parts[3])
-            gates.append(channel_gate(name, [parse_matrix(lines[pos + 16 * c : pos + 16 * c + 16], 4)
-                                             for c in range(count)]))
-            pos += 16 * count
-        else:
+        decl, parts = lines[pos], lines[pos].split()
+        kind = parts[2] if len(parts) > 2 else None
+        if (parts[0] != "gate" or len(parts) != (4 if kind == "channel" else 3)
+                or kind == "channel" and not parts[3].isdecimal()):
+            raise ValueError(f"malformed gate declaration {decl!r}")
+        if kind not in ("unitary", "channel"):
             raise ValueError(f"unknown gate kind {kind!r}")
+        count = int(parts[3]) if kind == "channel" else 1
+        block = lines[pos + 1 : pos + 1 + 16 * count]
+        try:
+            mats = [parse_matrix(block[16 * c : 16 * c + 16], 4) for c in range(count)]
+        except ValueError:
+            raise ValueError(f"gate declaration {decl!r} needs {16 * count} 're im' lines") from None
+        gates.append(unitary_gate(parts[1], mats[0]) if kind == "unitary" else channel_gate(parts[1], mats))
+        pos += 1 + 16 * count
     return GateSet("finite", tuple(gates), connectivity)

@@ -57,8 +57,8 @@ def register(n: int) -> QubitRegister:
 
 def _hermitize(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("operator matrix must be square")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError("operator matrix must be square and non-empty")
     # one d x d buffer: the result is built in place, the norms a row block at a time
     out = np.empty_like(m, order="C")
     np.conjugate(m.T, out=out)

@@ -39,11 +39,11 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
 from .gates import (
-    MATRIX_HASH_DECIMALS,
     BoundedCache,
     Circuit,
     GateSet,
     PlacedGate,
+    _rounded,
     gate_set_key,
     mask_matrix,
     placed_alphabet,
@@ -125,10 +125,6 @@ def unpack(rows: np.ndarray, d: int) -> np.ndarray:
     out[..., i, j] = off
     out[..., j, i] = off.conj()
     return out
-
-
-def _rounded(rows: np.ndarray) -> np.ndarray:
-    return np.round(rows, MATRIX_HASH_DECIMALS) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 # ---------------------------------------------------------------------------

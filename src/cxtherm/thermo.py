@@ -452,7 +452,9 @@ def parse_protocol(text: str, n: int, gate_set: GateSet) -> Protocol:
         if not ln or ln.startswith("#"):
             continue
         parts = ln.split()
-        if len(parts) != {"RESET": 2, "EXTRACT": 2, "GATE": 4}.get(parts[0]):
+        qubits = parts[2:] if parts[0] == "GATE" else parts[1:]
+        if len(parts) != {"RESET": 2, "EXTRACT": 2, "GATE": 4}.get(parts[0]) or not all(
+                q.removeprefix("-").isdecimal() for q in qubits):
             raise ProtocolError(f"malformed protocol line {ln!r}")
         if parts[0] == "RESET":
             steps.append(Reset(int(parts[1])))

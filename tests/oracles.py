@@ -17,6 +17,7 @@ from scipy.linalg import expm
 from cxtherm.gates import (
     MATRIX_HASH_DECIMALS,
     Circuit,
+    edges,
     expand_operator,
     iter_simple_effects,
     placed_alphabet,
@@ -158,6 +159,22 @@ def embedded_kraus(gate, edge, n):
     `expand_operator` as a dense 2^n x 2^n matrix."""
     mats = (gate.unitary,) if gate.is_unitary else gate.kraus
     return [expand_operator(k, n, list(edge)) for k in mats]
+
+
+def dense_placed_alphabet(gate_set, n):
+    """(gate, edge) of every placement on the connectivity graph, identity
+    excluded, that is the first whose Kraus operators, embedded by
+    `expand_operator` and rounded to 1e-10 with -0.0 folded into 0.0, match
+    no earlier placement's."""
+    placements = [(g, e) for g in gate_set.gates if not g.is_identity for e in edges(gate_set.connectivity, n)]
+    placements += [(g, e) for g, e in gate_set.placed_extra if max(e) < n]
+    out, seen = [], set()
+    for gate, edge in placements:
+        key = b"".join((np.round(k, MATRIX_HASH_DECIMALS) + 0.0).tobytes() for k in embedded_kraus(gate, edge, n))
+        if key not in seen:
+            seen.add(key)
+            out.append((gate, edge))
+    return out
 
 
 def dense_apply(kraus_full, sigma):

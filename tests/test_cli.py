@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,14 @@ class TestLoadState:
         path = tmp_path / "bad.txt"
         path.write_text("dim 2\n1 0\n")
         with pytest.raises(ConfigError):
+            load_state_file(path)
+
+    @pytest.mark.parametrize("dim", [0, -4, 3])
+    def test_dimension_not_a_power_of_two_names_file_and_dim(self, tmp_path, dim):
+        # rejected before the entries are read, so none are written
+        path = tmp_path / "odd.txt"
+        path.write_text(f"dim {dim}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"state file {path}: dim {dim} is not a power of two")):
             load_state_file(path)
 
     def test_non_psd_file_rejected(self, tmp_path):
@@ -169,7 +178,10 @@ class TestDispatch:
         ("connectivity all-to-all\ngate cnot\n", "'gate cnot'"),
         ("connectivity\n", "'connectivity'"),
         ("connectivity chain\ngate dephase channel\n", "'gate dephase channel'"),
-    ], ids=["gate-without-kind", "bare-connectivity", "channel-without-count"])
+        ("connectivity chain\ngate g channel two\n", "'gate g channel two'"),
+        ("connectivity chain\ngate g unitary\n" + "1 0\n" * 4, "'gate g unitary'"),
+    ], ids=["gate-without-kind", "bare-connectivity", "channel-without-count", "channel-count-not-a-number",
+            "four-line-matrix"])
     def test_malformed_gate_set_exit_2(self, text, line, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.gates").write_text(text)

@@ -13,7 +13,10 @@ from cxtherm.errors import BudgetExceededError
 from cxtherm.experiments import continuity_trial, decoupling_simulate, transition_scan
 from cxtherm.gates import (
     CNOT,
+    CZ,
+    I2,
     SWAP,
+    Z,
     Circuit,
     GateSet,
     PlacedGate,
@@ -25,6 +28,7 @@ from cxtherm.gates import (
     edges,
     entangling_power,
     expand_operator,
+    format_matrix,
     gibbs_check,
     inverse_circuit,
     iter_simple_effects,
@@ -55,6 +59,7 @@ from oracles import (
     bell_by_hand,
     brute_force_state_distance,
     dense_apply,
+    dense_placed_alphabet,
     dense_pullback,
     embedded_kraus,
     entangling_power_grid_oracle,
@@ -124,6 +129,63 @@ class TestEmbedding:
         for pg in placed_alphabet(gate_set, n_a):
             nested = expand_operator(pg.kraus_full[0], n, list(range(n_a)))
             assert np.array_equal(expand_operator(pg.gate.unitary, n, pg.edge), nested)
+
+
+def _parsed_factor_set():
+    """A parsed gate set holding -I, a dephasing channel whose Kraus operators
+    factor as k (x) I, and cz twice, once written with signed zeros."""
+    cz_signed = np.where(CZ == 0, complex(-0.0, -0.0), CZ)
+    kraus = (math.sqrt(0.5) * np.eye(4), math.sqrt(0.5) * np.kron(Z, I2))
+    blocks = [("minus_i unitary", [-np.eye(4)]), ("dephase_a channel 2", kraus),
+              ("cz unitary", [CZ]), ("cz_signed unitary", [cz_signed])]
+    lines = ["connectivity all-to-all"]
+    for decl, mats in blocks:
+        lines += [f"gate {decl}"] + [ln for m in mats for ln in format_matrix(m)]
+    return parse_gate_set("\n".join(lines))
+
+
+class TestPlacedAlphabet:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_equals_the_rounded_dense_embedding_key(self, n):
+        # the local key keeps, in order, the first placement of every rounded
+        # full-register action; the Gibbs sets hold value-equal channels on
+        # different edges whose zeros differ in sign; the last set places cnot
+        # and h_a on reversed edges, where they equal cnot_r and h_b
+        model = ThermalModel(tuple(task_rng(n).uniform(0.2, 2.0, n)))
+        by_name = {g.name: g for g in default_gate_set().gates}
+        extra = [(by_name[name], e[::-1] if name in ("cnot", "h_a") else e)
+                 for name in ("cnot", "h_a", "cnot_r", "h_b") for e in edges("all-to-all", n)]
+        sets = [default_gate_set(), default_gate_set("chain"), gibbs_preserving_gate_set(model),
+                gibbs_preserving_gate_set(ThermalModel.degenerate(n)), _parsed_factor_set(),
+                GateSet("finite", (), "chain", tuple(extra))]
+        for gate_set in sets:
+            want = [(g.name, e) for g, e in dense_placed_alphabet(gate_set, n)]
+            assert [(pg.gate.name, pg.edge) for pg in placed_alphabet(gate_set, n)] == want
+
+    def test_parsed_set_collapses_phases_and_factors(self):
+        names = [(pg.gate.name, pg.edge) for pg in placed_alphabet(_parsed_factor_set(), 3)]
+        assert names[:4] == [("minus_i", (0, 1)), ("dephase_a", (0, 1)), ("dephase_a", (1, 2)), ("cz", (0, 1))]
+        assert "cz_signed" not in {name for name, _ in names}
+
+    def test_state_and_unitary_sets_build_no_embedding(self, monkeypatch):
+        # a gate-set content no other test caches, so its 7-qubit alphabet is
+        # built here, under the refusal
+        n = 7
+        gate_set = GateSet("finite", tuple(unitary_gate(g.name + "_copy", g.unitary)
+                                           for g in default_gate_set().gates))
+        cnot = expand_operator(CNOT, n, [0, 1])
+        bell = np.zeros(2 ** n, dtype=complex)
+        bell[0] = bell[2 ** (n - 2) * 3] = math.sqrt(0.5)
+        original = gates_module.expand_operator
+
+        def refuse(mat, n_arg, positions):
+            if n_arg == n:
+                raise AssertionError(f"{n}-qubit embedding built")
+            return original(mat, n_arg, positions)
+
+        monkeypatch.setattr(gates_module, "expand_operator", refuse)
+        assert approx_state_complexity(bell, gate_set, 1e-9, 2) == 2
+        assert circuit_complexity(gate_set, cnot, 1) == 1
 
 
 class TestLocalApplication:
@@ -511,9 +573,18 @@ class TestGateSetFiles:
     def test_malformed_rejected(self):
         # the error names the bad line, the last one of each text
         for text in ("gate foo unitary\n", "connectivity\n", "connectivity all-to-all\ngate cnot\n",
-                     "connectivity all-to-all\ngate\n", "connectivity chain\ngate dephase channel\n"):
+                     "connectivity all-to-all\ngate\n", "connectivity chain\ngate dephase channel\n",
+                     "connectivity chain\ngate dephase channel two\n"):
             with pytest.raises(ValueError, match=repr(text.splitlines()[-1])):
                 parse_gate_set(text)
+
+    @pytest.mark.parametrize("block", [["1 0"] * 4, ["1 0"] * 4 + ["gate cz unitary"] + ["1 0"] * 16,
+                                       ["1 0 0"] * 16, ["1 x"] * 16],
+                             ids=["four-lines", "next-declaration", "three-fields", "not-a-number"])
+    def test_short_or_malformed_matrix_names_its_declaration(self, block):
+        text = "\n".join(["connectivity chain", "gate g unitary", *block]) + "\n"
+        with pytest.raises(ValueError, match="gate declaration 'gate g unitary' needs 16 're im' lines"):
+            parse_gate_set(text)
 
 
 class TestMaskMachinery:

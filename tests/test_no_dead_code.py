@@ -83,3 +83,9 @@ def test_no_unused_imports():
 def test_one_local_contraction():
     users = sorted(p.name for p in PACKAGE.glob("*.py") if "tensordot" in p.read_text())
     assert users == ["gates.py"]
+
+
+def test_one_rounding_rule():
+    # rows and placed gates are deduplicated by gates._rounded alone
+    users = sorted(p.name for p in PACKAGE.glob("*.py") if "MATRIX_HASH_DECIMALS" in p.read_text())
+    assert users == ["gates.py"]

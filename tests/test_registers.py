@@ -226,6 +226,11 @@ class TestValidation:
             with pytest.raises(ValueError, match="non-finite"):
                 build(register(1), m)
 
+    @pytest.mark.parametrize("build", [HermitianOperator, DensityOperator, PovmEffect])
+    def test_empty_matrix_rejected(self, build):
+        with pytest.raises(ValueError, match="non-empty"):
+            build(register(1), np.zeros((0, 0)))
+
 
 class TestHermitize:
     @staticmethod

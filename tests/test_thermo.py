@@ -350,8 +350,10 @@ class TestProtocolFiles:
         with pytest.raises(ProtocolError):
             parse_protocol("GATE nope 0 1\n", 2, gate_set)
 
-    @pytest.mark.parametrize("text", ["RESET\n", "EXTRACT 0 1\n", "GATE cnot 0\n", "GATE\n"],
-                             ids=["bare-reset", "extract-two-qubits", "gate-one-qubit", "bare-gate"])
+    @pytest.mark.parametrize("text", ["RESET\n", "EXTRACT 0 1\n", "GATE cnot 0\n", "GATE\n", "RESET x\n",
+                                      "GATE cnot 0 y\n"],
+                             ids=["bare-reset", "extract-two-qubits", "gate-one-qubit", "bare-gate",
+                                  "reset-non-integer", "gate-non-integer"])
     def test_wrong_field_count_names_the_line(self, gate_set, text):
         with pytest.raises(ProtocolError, match=f"malformed protocol line {text.strip()!r}"):
             parse_protocol(text, 2, gate_set)
