@@ -193,18 +193,22 @@ def load_state(spec: str, n: int, seed: int) -> DensityOperator:
 
 def load_state_file(path: str | Path) -> DensityOperator:
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("dim "):
-        raise ConfigError("state file must start with 'dim d'")
-    d = int(lines[0].split()[1])
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "dim" or not head[1].removeprefix("-").isdecimal():
+        raise ConfigError(f"state file {path}: must start with 'dim d', got {' '.join(head)!r}")
+    d = int(head[1])
     if d < 1 or d & (d - 1):
         raise ConfigError(f"state file {path}: dim {d} is not a power of two")
     if len(lines) != 1 + d * d:
-        raise ConfigError(f"state file needs {d * d} entry lines, found {len(lines) - 1}")
-    mat = parse_matrix(lines[1:], d)
+        raise ConfigError(f"state file {path}: dim {d} needs {d * d} entry lines, found {len(lines) - 1}")
+    try:
+        mat = parse_matrix(lines[1:], d)
+    except ValueError as exc:
+        raise ConfigError(f"state file {path}: {exc}") from None
     try:
         return DensityOperator(register(d.bit_length() - 1), mat)
     except ValueError as exc:
-        raise ConfigError(f"invalid density matrix: {exc}") from exc
+        raise ConfigError(f"state file {path}: invalid density matrix: {exc}") from exc
 
 
 def save_state_file(path: str | Path, rho: DensityOperator) -> None:

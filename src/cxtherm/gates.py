@@ -2,11 +2,13 @@
 
 A gate is always a 4x4 unitary or a 4x4-Kraus channel; single-qubit actions
 are carried as u (x) I factors.  One kernel, `_contract`, applies every gate
-locally to a batch of statevectors or matrices.  A `PlacedGate` builds
-full 2^n x 2^n embeddings only when the effect-set engine, which reuses one
-alphabet many times, first calls its `apply_matrix` or `pullback`;
-`placed_alphabet` deduplicates placements on the gates' own qubits.
-Circuit cost counts placed non-identity gates.
+locally to a batch of statevectors or matrices: it moves the edge's axes to
+the front and multiplies by the gate as one 2^k x 2^k matrix.  A
+`PlacedGate` builds its 2^n x 2^n Kraus embeddings, stacked in one array,
+only when the effect-set engine, which reuses one alphabet many times, first
+calls its `apply_matrix` or `pullback`; a channel's stack then takes one
+batched product.  `placed_alphabet` deduplicates placements on the gates' own
+qubits.  Circuit cost counts placed non-identity gates.
 """
 
 from __future__ import annotations
@@ -89,6 +91,12 @@ class Gate:
         ks = np.stack((self.unitary,) if self.is_unitary else self.kraus)
         return np.einsum("kac,kbd->abcd", ks, ks.conj()).reshape((2,) * 8)
 
+    @cached_property
+    def content_key(self) -> tuple[str, bytes]:
+        """Name and matrix bytes, the gate's part of `gate_set_key`."""
+        mats = (self.unitary,) if self.is_unitary else self.kraus
+        return self.name, b"".join(m.tobytes() for m in mats)
+
 
 def unitary_gate(name: str, matrix: np.ndarray) -> Gate:
     return Gate(name, unitary=np.asarray(matrix, dtype=complex))
@@ -128,16 +136,11 @@ class GateSet:
 def gate_set_key(gate_set: GateSet) -> tuple:
     """Content key of a gate set: kind, connectivity, and every gate's name
     and matrices.  Names count because witness circuits print them."""
-
-    def gate_key(gate: Gate) -> tuple[str, bytes]:
-        mats = (gate.unitary,) if gate.is_unitary else gate.kraus
-        return gate.name, b"".join(m.tobytes() for m in mats)
-
     return (
         gate_set.kind,
         gate_set.connectivity,
-        tuple(gate_key(g) for g in gate_set.gates),
-        tuple((gate_key(g), e) for g, e in gate_set.placed_extra),
+        tuple(g.content_key for g in gate_set.gates),
+        tuple((g.content_key, e) for g, e in gate_set.placed_extra),
     )
 
 
@@ -206,23 +209,28 @@ def expand_operator(mat: np.ndarray, n: int, positions: Sequence[int]) -> np.nda
 @lru_cache(maxsize=1024)
 def _layout(k: int, n: int, m: int, i: int, j: int) -> tuple[tuple, tuple, tuple]:
     """For a (2,)*2k tensor on ordered qubits (i, j) of batch items with m
-    indices of 2^n: the (2,)*nm view after the batch axis, tensordot's axes,
-    and the permutation that puts its output back in place."""
+    indices of 2^n: the (2,)*nm view after the batch axis, the input axis
+    order that moves the k contracted axes to the front, and the
+    permutation that puts the product's axes back in place."""
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"invalid edge ({i}, {j}) on {n} qubits")
     axes = (1 + i, 1 + j, 1 + n + i, 1 + n + j)[:k]
     order = axes + tuple(a for a in range(1 + n * m) if a not in axes)
-    return (2,) * (n * m), (tuple(range(k, 2 * k)), axes), tuple(np.argsort(order))
+    return (2,) * (n * m), order, tuple(np.argsort(order))
 
 
 def _contract(tensor: np.ndarray, edge: tuple[int, int], x: np.ndarray) -> np.ndarray:
     """Contract the trailing half of a (2,)*2k gate tensor with the axes of
     ordered qubits `edge` in each item of x, a batch (leading axis, any length)
     of 2^n statevectors or 2^n x 2^n matrices; its leading half takes their
-    place.  k = 2 acts on a matrix's row index, k = 4 on both indices."""
+    place.  k = 2 acts on a matrix's row index, k = 4 on both indices.  One
+    2^k x 2^k matrix product on x with the contracted axes moved to the front."""
+    k = tensor.ndim // 2
     n = x.shape[-1].bit_length() - 1
-    view, axes, perm = _layout(tensor.ndim // 2, n, x.ndim - 1, int(edge[0]), int(edge[1]))
-    return np.tensordot(tensor, x.reshape(x.shape[:1] + view), axes=axes).transpose(perm).reshape(x.shape)
+    view, order, perm = _layout(k, n, x.ndim - 1, int(edge[0]), int(edge[1]))
+    # the moved copy of x is a temporary of the product, freed before the last copy
+    y = tensor.reshape(2 ** k, 2 ** k) @ x.reshape(x.shape[:1] + view).transpose(order).reshape(2 ** k, -1)
+    return y.reshape(view[:k] + x.shape[:1] + view[k:]).transpose(perm).reshape(x.shape)
 
 
 def apply_local(gate: Gate, edge: tuple[int, int], sigma: np.ndarray) -> np.ndarray:
@@ -243,6 +251,15 @@ def apply_local_vector(gate: Gate, edge: tuple[int, int], vec: np.ndarray) -> np
     return _contract(gate.unitary.reshape((2,) * 4), edge, vec.reshape(-1, vec.shape[-1])).reshape(vec.shape)
 
 
+def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_K left_K x right_K for (K, d, d) stacks, on a matrix or a batch of
+    them: one product per stack, or the plain product for a single K."""
+    if len(left) == 1:
+        return left[0] @ x @ right[0]
+    shape = left.shape[:1] + (1,) * (x.ndim - 2) + left.shape[1:]
+    return (left.reshape(shape) @ x @ right.reshape(shape)).sum(axis=0)
+
+
 class PlacedGate:
     """A gate bound to an edge of an n-qubit register; embeddings on first use."""
 
@@ -252,28 +269,25 @@ class PlacedGate:
         self.n = n
 
     @cached_property
-    def kraus_full(self) -> tuple[np.ndarray, ...]:
+    def kraus_full(self) -> np.ndarray:
+        """The embedded Kraus operators as one (K, 2^n, 2^n) stack."""
         mats = (self.gate.unitary,) if self.gate.is_unitary else self.gate.kraus
-        return tuple(expand_operator(k, self.n, self.edge) for k in mats)
+        return np.stack([expand_operator(k, self.n, self.edge) for k in mats])
 
     def apply_matrix(self, sigma: np.ndarray) -> np.ndarray:
-        out = None
-        for k in self.kraus_full:
-            term = k @ sigma @ k.conj().T
-            out = term if out is None else out + term
-        return out
+        """sum_K K sigma K^dag."""
+        ks = self.kraus_full
+        return _sandwich(ks, sigma, ks.conj().transpose(0, 2, 1))
 
     def apply_vector(self, vec: np.ndarray) -> np.ndarray:
         """U psi for each statevector along the last axis, by the local kernel."""
         return apply_local_vector(self.gate, self.edge, vec)
 
     def pullback(self, effect: np.ndarray) -> np.ndarray:
-        """Heisenberg-picture adjoint applied to an effect matrix."""
-        out = None
-        for k in self.kraus_full:
-            term = k.conj().T @ effect @ k
-            out = term if out is None else out + term
-        return out
+        """Heisenberg-picture adjoint sum_K K^dag Q K on an effect matrix or a
+        batch of them."""
+        ks = self.kraus_full
+        return _sandwich(ks.conj().transpose(0, 2, 1), effect, ks)
 
 
 class BoundedCache:
@@ -498,8 +512,14 @@ def format_matrix(m: np.ndarray) -> list[str]:
 
 
 def parse_matrix(lines: list[str], dim: int) -> np.ndarray:
-    pairs = [ln.split() for ln in lines]
-    return np.array([complex(float(re), float(im)) for re, im in pairs], dtype=complex).reshape(dim, dim)
+    entries = []
+    for ln in lines:
+        try:
+            re, im = map(float, ln.split())
+        except ValueError:
+            raise ValueError(f"malformed entry line {ln!r}, expected 're im'") from None
+        entries.append(complex(re, im))
+    return np.array(entries, dtype=complex).reshape(dim, dim)
 
 
 def format_gate_set(gate_set: GateSet) -> str:

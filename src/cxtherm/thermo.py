@@ -17,12 +17,14 @@ from .cxentropy import cx_entropy
 from .errors import ProtocolError
 from .gates import (
     SWAP,
+    BoundedCache,
     Gate,
     GateSet,
     apply_circuit,
     apply_local,
     channel_gate,
     edges,
+    gate_set_key,
     gibbs_check,
     mask_matrix,
     mask_traces_identity,
@@ -205,7 +207,17 @@ def gibbs_preserving_gate_set(model: ThermalModel, connectivity: str = "all-to-a
     return gs
 
 
-def validate_gibbs_gate_set(gate_set: GateSet, model: ThermalModel):
+_GIBBS_CHECKED = BoundedCache()
+
+
+def validate_gibbs_gate_set(gate_set: GateSet, model: ThermalModel) -> None:
+    """Raise ValueError unless every placement of the gate set fixes the pair
+    Gibbs weight of the model.  A passing verdict is kept per gate-set
+    content and energies; a failing set is checked, and raises, every time."""
+    _GIBBS_CHECKED.get((gate_set_key(gate_set), model.energies), lambda: _check_gibbs(gate_set, model))
+
+
+def _check_gibbs(gate_set: GateSet, model: ThermalModel) -> bool:
     placed = [(g, e) for g in gate_set.gates for e in edges(gate_set.connectivity, model.n)]
     for gate, (i, j) in placed + list(gate_set.placed_extra):
         if not (0 <= i < model.n and 0 <= j < model.n):
@@ -214,6 +226,7 @@ def validate_gibbs_gate_set(gate_set: GateSet, model: ThermalModel):
             )
         if not gibbs_check(gate, model.gamma_pair(i, j)):
             raise ValueError(f"gate {gate.name!r} does not preserve the Gibbs weight on edge ({i},{j})")
+    return True
 
 
 # ---------------------------------------------------------------------------

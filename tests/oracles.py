@@ -177,6 +177,21 @@ def dense_placed_alphabet(gate_set, n):
     return out
 
 
+def tensordot_contract(tensor, edge, x):
+    """The local kernel by np.tensordot: contract the trailing half of a
+    (2,)*2k gate tensor with the axes of ordered qubits `edge` in each item
+    of the batch x (2^n statevectors or 2^n x 2^n matrices), then permute
+    the tensor's leading half into their place."""
+    k = tensor.ndim // 2
+    n = x.shape[-1].bit_length() - 1
+    m = x.ndim - 1
+    i, j = edge
+    axes = (1 + i, 1 + j, 1 + n + i, 1 + n + j)[:k]
+    order = axes + tuple(a for a in range(1 + n * m) if a not in axes)
+    t = np.tensordot(tensor, x.reshape(x.shape[:1] + (2,) * (n * m)), axes=(tuple(range(k, 2 * k)), axes))
+    return t.transpose(np.argsort(order)).reshape(x.shape)
+
+
 def dense_apply(kraus_full, sigma):
     """sum_K K sigma K^dag with embedded Kraus operators, as matrix products."""
     return functools.reduce(np.add, (k @ sigma @ k.conj().T for k in kraus_full))

@@ -63,11 +63,26 @@ class TestLoadState:
         with pytest.raises(ConfigError, match=re.escape(f"state file {path}: dim {dim} is not a power of two")):
             load_state_file(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("dim x\n", "must start with 'dim d', got 'dim x'"),
+        ("dim\n1 0\n", "must start with 'dim d', got 'dim'"),
+        ("1 0\n0 0\n", "must start with 'dim d', got '1 0'"),
+        ("", "must start with 'dim d', got ''"),
+        ("dim 2\n1 0\n0 0\n0 0\n", "dim 2 needs 4 entry lines, found 3"),
+        ("dim 2\n1 0\n0 x\n0 0\n0 0\n", "malformed entry line '0 x', expected 're im'"),
+        ("dim 2\n1 0\n0\n0 0\n0 0\n", "malformed entry line '0', expected 're im'"),
+    ])
+    def test_malformed_file_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"state file {path}: {message}")):
+            load_state_file(path)
+
     def test_non_psd_file_rejected(self, tmp_path):
         path = tmp_path / "neg.txt"
         lines = ["dim 2", "1 0", "0 0", "0 0", "-0.5 0"]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(f"state file {path}: invalid density matrix")):
             load_state_file(path)
 
 
@@ -102,6 +117,14 @@ class TestDispatch:
         cfg.write_text(json.dumps({"bogus": 1}))
         res = run_cli(["entropy", "--config", str(cfg)], tmp_path)
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("text", ["dim x\n", "dim 1\n1 x\n"])
+    def test_malformed_state_file_exit_2(self, tmp_path, run_cli, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        res = run_cli(["entropy", "--state", str(path)], tmp_path)
+        assert res.returncode == 2
+        assert f"state file {path}: " in res.stderr
 
     def test_bad_units_exit_2(self, tmp_path, run_cli):
         res = run_cli(["entropy", "--units", "furlongs"], tmp_path)

@@ -64,6 +64,7 @@ from oracles import (
     embedded_kraus,
     entangling_power_grid_oracle,
     iter_circuits,
+    tensordot_contract,
 )
 
 
@@ -289,6 +290,38 @@ class TestLocalApplication:
             assert np.array_equal(after, before)
         else:
             assert after == before
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_kernel_equals_tensordot_bitwise(self, n):
+        # k = 2 on statevectors and on a matrix's row index, k = 4 on matrices
+        rng = task_rng(90 + n)
+        d = 2 ** n
+        for k, m in ((2, 1), (2, 2), (4, 2)):
+            tensor = (rng.normal(size=(4 ** k,)) + 1j * rng.normal(size=(4 ** k,))).reshape((2,) * (2 * k))
+            for batch in (1, 3):
+                x = rng.normal(size=(batch,) + (d,) * m) + 1j * rng.normal(size=(batch,) + (d,) * m)
+                for edge in ((i, j) for i in range(n) for j in range(n) if i != j):
+                    assert np.array_equal(gates_module._contract(tensor, edge, x),
+                                          tensordot_contract(tensor, edge, x)), (k, m, batch, edge)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("connectivity", ["all-to-all", "chain"])
+    def test_kraus_stack_equals_per_kraus_products_bitwise(self, n, connectivity):
+        rng = task_rng(70 + n)
+        d = 2 ** n
+        model = ThermalModel(tuple(float(e) for e in rng.uniform(0.1, 2.0, n)))
+        sets = (default_gate_set(connectivity), gibbs_preserving_gate_set(model, connectivity))
+        channels = 0
+        for gs in sets:
+            for pg in placed_alphabet(gs, n):
+                channels += not pg.gate.is_unitary
+                kraus_full = embedded_kraus(pg.gate, pg.edge, n)
+                for shape in ((d, d), (5, d, d)):
+                    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                    x = x + np.swapaxes(x, -1, -2).conj()
+                    assert np.array_equal(pg.apply_matrix(x), dense_apply(kraus_full, x)), (pg.gate.name, shape)
+                    assert np.array_equal(pg.pullback(x), dense_pullback(kraus_full, x)), (pg.gate.name, shape)
+        assert channels > 0
 
 
 class TestPullback:

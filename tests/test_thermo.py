@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import cxtherm.thermo as thermo_module
 from cxtherm.cxentropy import cx_entropy
 from cxtherm.errors import ProtocolError
-from cxtherm.gates import CZ, GateSet, channel_gate, placed_alphabet, unitary_gate
+from cxtherm.gates import (
+    CZ,
+    BoundedCache,
+    GateSet,
+    channel_gate,
+    edges,
+    gibbs_check,
+    placed_alphabet,
+    unitary_gate,
+)
 from cxtherm.registers import (
     DensityOperator,
     ghz_state,
@@ -187,8 +197,9 @@ class TestProductHamiltonian:
 
     def test_gibbs_validation_rejects_swap(self, gate_set):
         model = ThermalModel((0.5, 1.0))
-        with pytest.raises(ValueError):
-            erasure_search(rand_state(2, 1), model, gate_set, 1, 0.9)
+        for _ in range(3):  # a failing verdict is never cached
+            with pytest.raises(ValueError, match=r"'cnot' does not preserve the Gibbs weight on edge \(0,1\)"):
+                erasure_search(rand_state(2, 1), model, gate_set, 1, 0.9)
 
     def test_gibbs_validation_names_a_placed_extra_edge(self):
         model = ThermalModel((0.5, 1.0, 1.5))
@@ -196,10 +207,11 @@ class TestProductHamiltonian:
         signs = GateSet("finite", (unitary_gate("cz", CZ),), "chain")
         validate_gibbs_gate_set(signs, model)
         bad = GateSet("finite", signs.gates, "chain", ((reset_pair, (1, 2)),))
-        with pytest.raises(ValueError, match=r"'reset_pair' does not preserve the Gibbs weight on edge \(1,2\)"):
-            validate_gibbs_gate_set(bad, model)
-        with pytest.raises(ValueError, match=r"edge \(1,2\)"):
-            erasure_search(rand_state(3, 2), model, bad, 1, 0.9)
+        for _ in range(3):  # a failing verdict is never cached
+            with pytest.raises(ValueError, match=r"'reset_pair' does not preserve the Gibbs weight on edge \(1,2\)"):
+                validate_gibbs_gate_set(bad, model)
+            with pytest.raises(ValueError, match=r"edge \(1,2\)"):
+                erasure_search(rand_state(3, 2), model, bad, 1, 0.9)
 
     def test_gibbs_validation_rejects_an_edge_beyond_the_model(self):
         # a gate set built for three qubits places channels on edges that a
@@ -207,10 +219,43 @@ class TestProductHamiltonian:
         wide = gibbs_preserving_gate_set(ThermalModel((0.5, 1.0, 1.5)))
         model = ThermalModel((0.5, 1.0))
         message = r"'thermal_q25_id_02' is placed on edge \(0,2\), outside the 2-qubit model"
-        with pytest.raises(ValueError, match=message):
-            validate_gibbs_gate_set(wide, model)
-        with pytest.raises(ValueError, match=message):
-            erasure_search(maximally_mixed(2), model, wide, 1, 0.9)
+        for _ in range(3):  # a failing verdict is never cached
+            with pytest.raises(ValueError, match=message):
+                validate_gibbs_gate_set(wide, model)
+            with pytest.raises(ValueError, match=message):
+                erasure_search(maximally_mixed(2), model, wide, 1, 0.9)
+
+    def test_gibbs_validation_runs_once_per_content_and_energies(self, monkeypatch):
+        model = ThermalModel((0.4, 1.1, 1.7))
+        other = ThermalModel((0.9, 0.3, 1.2))
+        gibbs = gibbs_preserving_gate_set(model)
+        signs = GateSet("finite", gibbs.gates, gibbs.connectivity)  # Gibbs-preserving for any energies
+        # rebuilt gates: equal content, new objects
+        copy = GateSet(gibbs.kind, tuple(unitary_gate(g.name, g.unitary) for g in gibbs.gates),
+                       gibbs.connectivity,
+                       tuple((channel_gate(g.name, g.kraus), e) for g, e in gibbs.placed_extra))
+        monkeypatch.setattr(thermo_module, "_GIBBS_CHECKED", BoundedCache())
+        calls = []
+
+        def counting(gate, gamma_pair):
+            calls.append(gate.name)
+            return gibbs_check(gate, gamma_pair)
+
+        monkeypatch.setattr(thermo_module, "gibbs_check", counting)
+
+        def checks(gate_set, m):
+            before = len(calls)
+            erasure_search(rand_state(3, 5), m, gate_set, 1, 0.9)
+            return len(calls) - before
+
+        def placements(gate_set):
+            return len(gate_set.gates) * len(edges(gate_set.connectivity, 3)) + len(gate_set.placed_extra)
+
+        assert checks(gibbs, model) == placements(gibbs) == 7 * 3 + 9
+        assert checks(copy, model) == 0
+        assert checks(signs, model) == placements(signs)
+        assert checks(signs, other) == placements(signs)
+        assert (checks(signs, other), checks(signs, model), checks(gibbs, model)) == (0, 0, 0)
 
 
 class TestLifting:
