@@ -3,11 +3,16 @@
 A gate is always a 4x4 unitary or a 4x4-Kraus channel; single-qubit actions
 are carried as u (x) I factors.  One kernel, `_contract`, applies every gate
 locally to a batch of statevectors or matrices: it moves the edge's axes to
-the front and multiplies by the gate as one 2^k x 2^k matrix.  A
-`PlacedGate` builds its 2^n x 2^n Kraus embeddings, stacked in one array,
-only when the effect-set engine, which reuses one alphabet many times, first
-calls its `apply_matrix` or `pullback`; a channel's stack then takes one
-batched product.  `placed_alphabet` deduplicates placements on the gates' own
+the front and multiplies by the gate as one 2^k x 2^k matrix.  An input of
+more than BLOCK_ENTRIES entries is contracted a block at a time into one
+preallocated output, so a gate on a 2^n x 2^n matrix holds the input, the
+output and blocks of 1 MiB, where one product over the whole matrix would
+keep two full temporaries alive (16 MiB each at n = 10).  A `PlacedGate`
+builds its 2^n x 2^n Kraus embeddings, stacked in one array, only when the
+effect-set engine, which reuses one alphabet many times, first calls its
+`apply_matrix` or `pullback`; a channel's stack then takes one batched
+product, a slice of the batch at a time once its intermediates would pass
+BLOCK_ENTRIES.  `placed_alphabet` deduplicates placements on the gates' own
 qubits.  Circuit cost counts placed non-identity gates.
 """
 
@@ -25,6 +30,9 @@ import numpy as np
 from .registers import DensityOperator, PovmEffect, register
 
 MATRIX_HASH_DECIMALS = 10
+# the most entries that one product of the local kernel or of a Kraus stack
+# takes at a time: 1 MiB of complex entries
+BLOCK_ENTRIES = 2 ** 16
 
 
 def _rounded(a: np.ndarray) -> np.ndarray:
@@ -219,14 +227,58 @@ def _layout(k: int, n: int, m: int, i: int, j: int) -> tuple[tuple, tuple, tuple
     return (2,) * (n * m), order, tuple(np.argsort(order))
 
 
+@lru_cache(maxsize=1024)
+def _blocks(k: int, n: int, m: int, i: int, j: int, limit: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """`_layout` for one batch item of more than `limit` entries, a block at
+    a time: the leading free axes that are fixed so that a block holds at
+    most `limit` entries, the axis order that puts them in front, and a
+    block's input axis order and output permutation."""
+    _, order, _ = _layout(k, n, m, i, j)
+    free, fixed, rest = list(order[k + 1 :]), [], 2 ** (n * m)
+    while rest > limit and free:
+        fixed.append(free.pop(0))
+        rest //= 2
+    inner = [a for a in range(1, 1 + n * m) if a not in fixed]
+    block_order = tuple(inner.index(a) for a in order[:k] + tuple(free))
+    split = tuple(a - 1 for a in fixed + inner)  # an item has no batch axis
+    return (2,) * len(fixed), split, block_order, tuple(np.argsort(block_order))
+
+
 def _contract(tensor: np.ndarray, edge: tuple[int, int], x: np.ndarray) -> np.ndarray:
     """Contract the trailing half of a (2,)*2k gate tensor with the axes of
     ordered qubits `edge` in each item of x, a batch (leading axis, any length)
     of 2^n statevectors or 2^n x 2^n matrices; its leading half takes their
     place.  k = 2 acts on a matrix's row index, k = 4 on both indices.  One
-    2^k x 2^k matrix product on x with the contracted axes moved to the front."""
+    2^k x 2^k matrix product on x with the contracted axes moved to the front.
+    An x of more than BLOCK_ENTRIES entries goes into one preallocated output
+    a block of at most that many entries at a time: a slice of the batch, or
+    part of one item with its leading free axes fixed.  A block's columns are
+    a run of the single product's columns, so every bit is the same."""
     k = tensor.ndim // 2
     n = x.shape[-1].bit_length() - 1
+    if x.size <= BLOCK_ENTRIES:
+        return _product(tensor, edge, x, k, n)
+    out = np.empty(x.shape, np.result_type(tensor, x))
+    if x[0].size <= BLOCK_ENTRIES:
+        # a lone one-column item joins the slice before it: alone, numpy
+        # would take it as a matrix-vector product, which rounds differently
+        step, lone = BLOCK_ENTRIES // x[0].size, x[0].size == 2 ** k
+        starts = range(0, len(x) - lone, step)
+        for a, b in zip(starts, [*starts[1:], len(x)]):
+            out[a:b] = _product(tensor, edge, x[a:b], k, n)
+        return out
+    fixed, split, order, perm = _blocks(k, n, x.ndim - 1, int(edge[0]), int(edge[1]), BLOCK_ENTRIES)
+    gate, view = tensor.reshape(2 ** k, 2 ** k), (2,) * (n * (x.ndim - 1))
+    for item, dest in zip(x, out):
+        xs, outs = item.reshape(view).transpose(split), dest.reshape(view).transpose(split)
+        for at in np.ndindex(*fixed):
+            block = xs[at]
+            outs[at] = (gate @ block.transpose(order).reshape(2 ** k, -1)).reshape(block.shape).transpose(perm)
+    return out
+
+
+def _product(tensor: np.ndarray, edge: tuple[int, int], x: np.ndarray, k: int, n: int) -> np.ndarray:
+    """`_contract` as one product over the whole batch."""
     view, order, perm = _layout(k, n, x.ndim - 1, int(edge[0]), int(edge[1]))
     # the moved copy of x is a temporary of the product, freed before the last copy
     y = tensor.reshape(2 ** k, 2 ** k) @ x.reshape(x.shape[:1] + view).transpose(order).reshape(2 ** k, -1)
@@ -253,11 +305,21 @@ def apply_local_vector(gate: Gate, edge: tuple[int, int], vec: np.ndarray) -> np
 
 def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_K left_K x right_K for (K, d, d) stacks, on a matrix or a batch of
-    them: one product per stack, or the plain product for a single K."""
+    them: one product per stack, or the plain product for a single K.  A
+    batch whose (K, m, d, d) intermediates would pass BLOCK_ENTRIES entries
+    goes a slice at a time; the stack is never split, so its sum keeps its
+    order and bits."""
     if len(left) == 1:
         return left[0] @ x @ right[0]
     shape = left.shape[:1] + (1,) * (x.ndim - 2) + left.shape[1:]
-    return (left.reshape(shape) @ x @ right.reshape(shape)).sum(axis=0)
+    left, right = left.reshape(shape), right.reshape(shape)
+    if x.ndim == 2 or len(left) * x.size <= BLOCK_ENTRIES:
+        return (left @ x @ right).sum(axis=0)
+    out = np.empty(x.shape, np.result_type(left, x, right))
+    step = max(1, BLOCK_ENTRIES // (len(left) * x[0].size))
+    for a in range(0, len(x), step):
+        out[a : a + step] = (left @ x[a : a + step] @ right).sum(axis=0)
+    return out
 
 
 class PlacedGate:
@@ -270,9 +332,13 @@ class PlacedGate:
 
     @cached_property
     def kraus_full(self) -> np.ndarray:
-        """The embedded Kraus operators as one (K, 2^n, 2^n) stack."""
+        """The embedded Kraus operators as one (K, 2^n, 2^n) stack, filled one
+        embedding at a time."""
         mats = (self.gate.unitary,) if self.gate.is_unitary else self.gate.kraus
-        return np.stack([expand_operator(k, self.n, self.edge) for k in mats])
+        stack = np.empty((len(mats), 2 ** self.n, 2 ** self.n), complex)
+        for a, k in enumerate(mats):
+            stack[a] = expand_operator(k, self.n, self.edge)
+        return stack
 
     def apply_matrix(self, sigma: np.ndarray) -> np.ndarray:
         """sum_K K sigma K^dag."""

@@ -4,6 +4,15 @@ optimal erasure search, midcircuit lifting, and compression search.
 Work is tracked dimensionless as beta*W; multiplying by k_B T is a display
 concern.  A RESET of qubit i costs log Z_i, an EXTRACT refunds it, and each
 non-identity gate costs one unit of complexity and no work.
+
+`run_protocol` applies a gate step with the local kernel, which holds the
+previous matrix and its output; RESET and EXTRACT overwrite a matrix the
+protocol owns in place, with a quarter-size partial trace as the only
+temporary.  With the caller's matrix, a gate step thus peaks at three
+2^n x 2^n matrices plus 1 MiB blocks, and a RESET at two and a quarter
+(768 MiB and 576 MiB at n = 12, where one matrix is 256 MiB); the
+hermitized result, built last, is the third matrix of a protocol that ends
+in RESETs.
 """
 
 from __future__ import annotations
@@ -114,17 +123,24 @@ class CostLedger:
 EXTRACT_FIDELITY_TOL = 1e-9
 
 
-def _replace_qubit(sigma: np.ndarray, n: int, i: int, local: np.ndarray) -> np.ndarray:
-    """local (x) tr_i(sigma) with the local factor back on qubit i: trace
-    axes (i, n+i) of the (2,)*2n view out and move the 2x2 factor's axes in."""
-    reduced = np.trace(sigma.reshape((2,) * (2 * n)), axis1=i, axis2=n + i)
-    out = np.moveaxis(np.multiply.outer(local, reduced), [0, 1], [i, n + i])
-    return np.ascontiguousarray(out).reshape(sigma.shape)
+def _replace_qubit(sigma: np.ndarray, n: int, i: int, local: np.ndarray) -> None:
+    """Overwrite sigma, a C-contiguous 2^n x 2^n matrix, with local (x)
+    tr_i(sigma), the local factor back on qubit i, through its (2^i, 2,
+    2^(n-1-i)) x 2 block view: a quarter-size partial trace, then one
+    broadcast product written over the view."""
+    v = sigma.reshape((2 ** i, 2, 2 ** (n - 1 - i)) * 2)
+    # summed from +0.0 as np.trace does: -0.0 + -0.0 alone would keep the sign
+    reduced = 0.0 + v[:, 0, :, :, 0, :]
+    reduced += v[:, 1, :, :, 1, :]
+    np.multiply(local.reshape(1, 2, 1, 1, 2, 1), reduced[:, None, :, :, None, :], out=v)
 
 
 def run_protocol(
     protocol: Protocol, rho: DensityOperator, model: ThermalModel
 ) -> tuple[DensityOperator, CostLedger]:
+    """Apply the steps in order.  A gate step makes a new matrix; RESET and
+    EXTRACT overwrite a matrix the protocol owns, copied from rho's on the
+    first of them that comes before any gate, so rho is never written."""
     if protocol.n != rho.register.n or model.n != protocol.n:
         raise ProtocolError("protocol, state, and model sizes disagree")
     sigma = rho.matrix
@@ -132,20 +148,22 @@ def run_protocol(
     beta_work = 0.0
     ket0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     for step in protocol.steps:
-        if isinstance(step, (Reset, Extract)) and not 0 <= step.qubit < protocol.n:
-            raise ProtocolError(f"{step!r} acts outside the {protocol.n}-qubit register")
-        if isinstance(step, Reset):
-            sigma = _replace_qubit(sigma, protocol.n, step.qubit, ket0)
-            beta_work += model.reset_work(step.qubit)
-        elif isinstance(step, Extract):
-            local = partial_trace_matrix(sigma, protocol.n, [step.qubit])
-            ground = float(local[0, 0].real) / max(float(np.trace(local).real), 1e-300)
-            if ground < 1.0 - EXTRACT_FIDELITY_TOL:
-                raise ProtocolError(
-                    f"EXTRACT on qubit {step.qubit}: population in |0> is {ground:.12g}"
-                )
-            sigma = _replace_qubit(sigma, protocol.n, step.qubit, model.thermal_qubit(step.qubit))
-            beta_work -= model.reset_work(step.qubit)
+        if isinstance(step, (Reset, Extract)):
+            if not 0 <= step.qubit < protocol.n:
+                raise ProtocolError(f"{step!r} acts outside the {protocol.n}-qubit register")
+            local, work = ket0, model.reset_work(step.qubit)
+            if isinstance(step, Extract):
+                reduced = partial_trace_matrix(sigma, protocol.n, [step.qubit])
+                ground = float(reduced[0, 0].real) / max(float(np.trace(reduced).real), 1e-300)
+                if ground < 1.0 - EXTRACT_FIDELITY_TOL:
+                    raise ProtocolError(
+                        f"EXTRACT on qubit {step.qubit}: population in |0> is {ground:.12g}"
+                    )
+                local, work = model.thermal_qubit(step.qubit), -work
+            if sigma is rho.matrix:
+                sigma = sigma.copy()  # C-ordered, so the block view is a view
+            _replace_qubit(sigma, protocol.n, step.qubit, local)
+            beta_work += work
         elif isinstance(step, GateStep):
             sigma = apply_local(step.gate, step.edge, sigma)
             if not step.gate.is_identity:

@@ -212,6 +212,15 @@ def kron_replace_qubit(sigma, n, i, local):
     return expand_operator(np.kron(local, reduced), n, [i] + keep)
 
 
+def outer_replace_qubit(sigma, n, i, local):
+    """local (x) tr_i(sigma) with the local factor on qubit i, as a new
+    matrix: trace axes (i, n+i) of the (2,)*2n view out, take the outer
+    product with the local factor and move its axes into place."""
+    reduced = np.trace(sigma.reshape((2,) * (2 * n)), axis1=i, axis2=n + i)
+    out = np.moveaxis(np.multiply.outer(local, reduced), [0, 1], [i, n + i])
+    return np.ascontiguousarray(out).reshape(sigma.shape)
+
+
 def brute_force_protocol_work(rho_mat, n, gate_list, eta, max_ops, log_z,
                               r_cap=None, m_cap=None):
     """Minimum dimensionless work over ALL interleaved protocols of at most

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -291,18 +292,50 @@ class TestLocalApplication:
         else:
             assert after == before
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_kernel_equals_tensordot_bitwise(self, n):
-        # k = 2 on statevectors and on a matrix's row index, k = 4 on matrices
+    @staticmethod
+    def kernel_cases(n, batches):
+        """(tensor, edge, x) for k = 2 on statevectors and on a matrix's row
+        index, k = 4 on matrices, every ordered edge and each batch length."""
         rng = task_rng(90 + n)
         d = 2 ** n
         for k, m in ((2, 1), (2, 2), (4, 2)):
             tensor = (rng.normal(size=(4 ** k,)) + 1j * rng.normal(size=(4 ** k,))).reshape((2,) * (2 * k))
-            for batch in (1, 3):
+            for batch in batches:
                 x = rng.normal(size=(batch,) + (d,) * m) + 1j * rng.normal(size=(batch,) + (d,) * m)
                 for edge in ((i, j) for i in range(n) for j in range(n) if i != j):
-                    assert np.array_equal(gates_module._contract(tensor, edge, x),
-                                          tensordot_contract(tensor, edge, x)), (k, m, batch, edge)
+                    yield tensor, edge, x
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_kernel_equals_tensordot_bitwise(self, n):
+        for tensor, edge, x in self.kernel_cases(n, (1, 3)):
+            assert np.array_equal(gates_module._contract(tensor, edge, x),
+                                  tensordot_contract(tensor, edge, x)), (tensor.ndim, x.shape, edge)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_blocked_kernel_equals_tensordot_bitwise(self, monkeypatch, n):
+        # 64 entries hold 4 columns of a k = 4 product, the fewest that take
+        # the matrix-matrix kernel; 37 items of a 2-qubit matrix leave a
+        # lone one-column item after the last full slice
+        monkeypatch.setattr(gates_module, "BLOCK_ENTRIES", 64)
+        paths = set()
+        for tensor, edge, x in self.kernel_cases(n, (1, 3, 37) if n <= 3 else (1, 3)):
+            paths.add("one product" if x.size <= 64 else "batch slices" if x[0].size <= 64 else "item parts")
+            assert np.array_equal(gates_module._contract(tensor, edge, x),
+                                  tensordot_contract(tensor, edge, x)), (tensor.ndim, x.shape, edge)
+        assert ("batch slices" if n <= 3 else "item parts") in paths
+
+    def test_apply_local_holds_one_output_at_ten_qubits(self, gate_set):
+        sigma = random_density_matrix(2 ** 10, 2, task_rng(10))
+        cnot = find_gate(gate_set, "cnot")
+        apply_local(cnot, (0, 1), sigma[:4, :4])  # the gate's tensor, built once
+        tracemalloc.start()
+        try:
+            out = apply_local(cnot, (7, 2), sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == sigma.nbytes
+        assert peak <= 1.25 * sigma.nbytes, peak / sigma.nbytes
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("connectivity", ["all-to-all", "chain"])
@@ -322,6 +355,22 @@ class TestLocalApplication:
                     assert np.array_equal(pg.apply_matrix(x), dense_apply(kraus_full, x)), (pg.gate.name, shape)
                     assert np.array_equal(pg.pullback(x), dense_pullback(kraus_full, x)), (pg.gate.name, shape)
         assert channels > 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kraus_stack_in_slices_equals_per_kraus_products_bitwise(self, monkeypatch, n):
+        # the batch goes a slice at a time; the Kraus stack is never split
+        monkeypatch.setattr(gates_module, "BLOCK_ENTRIES", 2 * 17 * 4 ** n)
+        rng = task_rng(80 + n)
+        d = 2 ** n
+        model = ThermalModel(tuple(float(e) for e in rng.uniform(0.1, 2.0, n)))
+        channels = [pg for pg in placed_alphabet(gibbs_preserving_gate_set(model), n) if not pg.gate.is_unitary]
+        for pg in channels:
+            kraus_full = embedded_kraus(pg.gate, pg.edge, n)
+            for batch in (3, 5):
+                x = rng.normal(size=(batch, d, d)) + 1j * rng.normal(size=(batch, d, d))
+                assert np.array_equal(pg.apply_matrix(x), dense_apply(kraus_full, x)), (pg.gate.name, batch)
+                assert np.array_equal(pg.pullback(x), dense_pullback(kraus_full, x)), (pg.gate.name, batch)
+        assert channels and all(len(pg.kraus_full) == 17 for pg in channels)
 
 
 class TestPullback:

@@ -6,7 +6,7 @@ definition; a non-dunder method counts as used when some file reads it as
 `.name`.  Standard library only: `ast` finds the definitions, a regex search
 finds the uses.  The package also keeps one local gate contraction: no
 module mentions `tensordot`, and only `gates.py` holds the kernel's
-`_layout`.
+`_layout` and its block bound `BLOCK_ENTRIES`.
 """
 
 import ast
@@ -92,3 +92,12 @@ def test_one_rounding_rule():
     # rows and placed gates are deduplicated by gates._rounded alone
     users = sorted(p.name for p in PACKAGE.glob("*.py") if "MATRIX_HASH_DECIMALS" in p.read_text())
     assert users == ["gates.py"]
+
+
+def test_one_block_bound():
+    # the kernels' block size is set in gates.py alone, and RESET and EXTRACT
+    # update their buffer in place instead of building a moved outer product
+    users = sorted(p.name for p in PACKAGE.glob("*.py") if "BLOCK_ENTRIES" in p.read_text())
+    assert users == ["gates.py"]
+    thermo = (PACKAGE / "thermo.py").read_text()
+    assert "moveaxis" not in thermo and "multiply.outer" not in thermo

@@ -7,6 +7,7 @@ import cxtherm.thermo as thermo_module
 from cxtherm.cxentropy import cx_entropy
 from cxtherm.errors import ProtocolError
 from cxtherm.gates import (
+    CNOT,
     CZ,
     BoundedCache,
     GateSet,
@@ -44,7 +45,9 @@ from cxtherm.thermo import (
     validate_gibbs_gate_set,
 )
 
-from oracles import brute_force_protocol_work, kron_replace_qubit
+from oracles import brute_force_protocol_work, kron_replace_qubit, outer_replace_qubit
+
+CNOT_GATE = unitary_gate("cnot", CNOT)
 
 LOG2 = math.log(2.0)
 
@@ -121,6 +124,74 @@ class TestRunProtocol:
             expect = kron_replace_qubit(expect, n, i, model.thermal_qubit(i))
             assert np.abs(out.matrix - expect).max() <= 1e-15
             assert ledger.beta_work == 0.0
+
+    @staticmethod
+    def signed_zero_states(n, rng):
+        """Product, GHZ and random states whose entries include +0.0 and
+        -0.0 in real and imaginary parts."""
+        product = np.array([[1.0]], dtype=complex)
+        for q in range(n):
+            product = np.kron(product, np.diag([1.0, 0.0]) if q % 2 else random_density_matrix(2, 1, rng))
+        for m in (product, ghz_state(n).matrix, random_density_matrix(2 ** n, 2, rng)):
+            m = m.copy()
+            for part in (m.real, m.imag):
+                hit = rng.random(m.shape) < 0.4
+                part[hit] = np.copysign(0.0, rng.choice([-1.0, 1.0], size=hit.sum()))
+            yield m
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_replace_qubit_equals_the_outer_oracle_bitwise(self, n):
+        # the in-place block update against the outer product over a (2,)*2n
+        # tensor; the oracle's np.trace sums from +0.0, which decides the
+        # sign of a zero
+        rng = task_rng(60 + n)
+        model = ThermalModel(tuple(rng.uniform(0.2, 2.0, n)))
+        for sigma in self.signed_zero_states(n, rng):
+            for i in range(n):
+                for local in (np.diag([1.0, 0.0]).astype(complex), model.thermal_qubit(i)):
+                    buffer = sigma.copy()
+                    thermo_module._replace_qubit(buffer, n, i, local)
+                    assert buffer.tobytes() == outer_replace_qubit(sigma, n, i, local).tobytes(), (i, local)
+
+    @pytest.mark.parametrize("steps, raises", [
+        ((Reset(1),), False),
+        ((Extract(0), Reset(2)), False),
+        ((Reset(0), GateStep(CNOT_GATE, (0, 1)), Reset(1), Extract(1)), False),
+        ((Extract(1),), True),
+        ((Reset(0), Reset(2), Extract(1)), True),
+        ((GateStep(CNOT_GATE, (1, 2)), Reset(0), Extract(2)), True),
+    ])
+    def test_caller_matrix_is_never_written(self, steps, raises):
+        # qubit 0 starts in |0>, qubits 1 and 2 do not
+        rho = DensityOperator(register(3), np.kron(np.diag([1.0, 0.0]), random_density_matrix(4, 2, task_rng(3))))
+        before = rho.matrix.tobytes()
+        if raises:
+            with pytest.raises(ProtocolError, match="EXTRACT"):
+                run_protocol(Protocol(3, steps), rho, ThermalModel.degenerate(3))
+        else:
+            run_protocol(Protocol(3, steps), rho, ThermalModel.degenerate(3))
+        assert rho.matrix.tobytes() == before
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_reset_writes_through_a_view_of_an_owned_buffer(self, monkeypatch, n):
+        # a non-C-contiguous buffer would make reshape copy, and the write
+        # would land in the copy; n = 9 gates take the blocked kernel
+        rho = rand_state(n, 8, rank=2)
+        seen = []
+        original = thermo_module._replace_qubit
+
+        def spy(sigma, n_arg, i, local):
+            view = sigma.reshape((2 ** i, 2, 2 ** (n_arg - 1 - i)) * 2)
+            seen.append((sigma.flags.c_contiguous, np.shares_memory(view, sigma),
+                         np.shares_memory(sigma, rho.matrix)))
+            original(sigma, n_arg, i, local)
+
+        monkeypatch.setattr(thermo_module, "_replace_qubit", spy)
+        steps = (Reset(n - 1), GateStep(CNOT_GATE, (0, n - 1)), Reset(0), Extract(0),
+                 GateStep(CNOT_GATE, (n - 1, 1)), Reset(1))
+        out, _ = run_protocol(Protocol(n, steps), rho, ThermalModel.degenerate(n))
+        assert seen == [(True, True, False)] * 4
+        assert not np.shares_memory(out.matrix, rho.matrix)
 
     @pytest.mark.parametrize("step", [Reset(2), Extract(-1)])
     def test_step_off_the_register_rejected(self, step):
