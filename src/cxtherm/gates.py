@@ -8,12 +8,9 @@ more than BLOCK_ENTRIES entries is contracted a block at a time into one
 preallocated output, so a gate on a 2^n x 2^n matrix holds the input, the
 output and blocks of 1 MiB, where one product over the whole matrix would
 keep two full temporaries alive (16 MiB each at n = 10).  A `PlacedGate`
-builds its 2^n x 2^n Kraus embeddings, stacked in one array, only when the
-effect-set engine, which reuses one alphabet many times, first calls its
-`apply_matrix` or `pullback`; a channel's stack then takes one batched
-product, a slice of the batch at a time once its intermediates would pass
-BLOCK_ENTRIES.  `placed_alphabet` deduplicates placements on the gates' own
-qubits.  Circuit cost counts placed non-identity gates.
+binds a gate to an edge and runs the same kernel, so no gate is ever
+embedded in the full register.  `placed_alphabet` deduplicates placements
+on the gates' own qubits.  Circuit cost counts placed non-identity gates.
 """
 
 from __future__ import annotations
@@ -30,8 +27,8 @@ import numpy as np
 from .registers import DensityOperator, PovmEffect, register
 
 MATRIX_HASH_DECIMALS = 10
-# the most entries that one product of the local kernel or of a Kraus stack
-# takes at a time: 1 MiB of complex entries
+# the most entries that one product of the local kernel takes at a time:
+# 1 MiB of complex entries
 BLOCK_ENTRIES = 2 ** 16
 
 
@@ -98,6 +95,12 @@ class Gate:
         out column i, j, in row i, j, in column i, j)."""
         ks = np.stack((self.unitary,) if self.is_unitary else self.kraus)
         return np.einsum("kac,kbd->abcd", ks, ks.conj()).reshape((2,) * 8)
+
+    @cached_property
+    def adjoint_superoperator(self) -> np.ndarray:
+        """sum_K K^dag (x) K^T, the Heisenberg-picture map: `superoperator`
+        conjugated, with input and output swapped."""
+        return np.ascontiguousarray(self.superoperator.conj().transpose(4, 5, 6, 7, 0, 1, 2, 3))
 
     @cached_property
     def content_key(self) -> tuple[str, bytes]:
@@ -286,13 +289,16 @@ def _product(tensor: np.ndarray, edge: tuple[int, int], x: np.ndarray, k: int, n
 
 
 def apply_local(gate: Gate, edge: tuple[int, int], sigma: np.ndarray) -> np.ndarray:
-    """sum_K K sigma K^dag for the gate on ordered qubits `edge`, in O(16 d^2)."""
-    return _contract(gate.superoperator, edge, sigma[None])[0]
+    """sum_K K sigma K^dag for the gate on ordered qubits `edge`, in O(16 d^2),
+    on a matrix or a batch of them."""
+    d = sigma.shape[-1]
+    return _contract(gate.superoperator, edge, sigma.reshape(-1, d, d)).reshape(sigma.shape)
 
 
 def pullback_local(gate: Gate, edge: tuple[int, int], effect: np.ndarray) -> np.ndarray:
-    """sum_K K^dag Q K: the conjugated superoperator, input and output swapped."""
-    return _contract(gate.superoperator.conj().transpose(4, 5, 6, 7, 0, 1, 2, 3), edge, effect[None])[0]
+    """sum_K K^dag Q K on a matrix or a batch of them."""
+    d = effect.shape[-1]
+    return _contract(gate.adjoint_superoperator, edge, effect.reshape(-1, d, d)).reshape(effect.shape)
 
 
 def apply_local_vector(gate: Gate, edge: tuple[int, int], vec: np.ndarray) -> np.ndarray:
@@ -303,57 +309,27 @@ def apply_local_vector(gate: Gate, edge: tuple[int, int], vec: np.ndarray) -> np
     return _contract(gate.unitary.reshape((2,) * 4), edge, vec.reshape(-1, vec.shape[-1])).reshape(vec.shape)
 
 
-def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_K left_K x right_K for (K, d, d) stacks, on a matrix or a batch of
-    them: one product per stack, or the plain product for a single K.  A
-    batch whose (K, m, d, d) intermediates would pass BLOCK_ENTRIES entries
-    goes a slice at a time; the stack is never split, so its sum keeps its
-    order and bits."""
-    if len(left) == 1:
-        return left[0] @ x @ right[0]
-    shape = left.shape[:1] + (1,) * (x.ndim - 2) + left.shape[1:]
-    left, right = left.reshape(shape), right.reshape(shape)
-    if x.ndim == 2 or len(left) * x.size <= BLOCK_ENTRIES:
-        return (left @ x @ right).sum(axis=0)
-    out = np.empty(x.shape, np.result_type(left, x, right))
-    step = max(1, BLOCK_ENTRIES // (len(left) * x[0].size))
-    for a in range(0, len(x), step):
-        out[a : a + step] = (left @ x[a : a + step] @ right).sum(axis=0)
-    return out
-
-
 class PlacedGate:
-    """A gate bound to an edge of an n-qubit register; embeddings on first use."""
+    """A gate bound to an edge of an n-qubit register, applied by the local
+    kernel."""
 
     def __init__(self, gate: Gate, edge: tuple[int, int], n: int):
         self.gate = gate
         self.edge = (int(edge[0]), int(edge[1]))
         self.n = n
 
-    @cached_property
-    def kraus_full(self) -> np.ndarray:
-        """The embedded Kraus operators as one (K, 2^n, 2^n) stack, filled one
-        embedding at a time."""
-        mats = (self.gate.unitary,) if self.gate.is_unitary else self.gate.kraus
-        stack = np.empty((len(mats), 2 ** self.n, 2 ** self.n), complex)
-        for a, k in enumerate(mats):
-            stack[a] = expand_operator(k, self.n, self.edge)
-        return stack
-
     def apply_matrix(self, sigma: np.ndarray) -> np.ndarray:
-        """sum_K K sigma K^dag."""
-        ks = self.kraus_full
-        return _sandwich(ks, sigma, ks.conj().transpose(0, 2, 1))
+        """sum_K K sigma K^dag on a matrix or a batch of them."""
+        return apply_local(self.gate, self.edge, sigma)
 
     def apply_vector(self, vec: np.ndarray) -> np.ndarray:
-        """U psi for each statevector along the last axis, by the local kernel."""
+        """U psi for each statevector along the last axis."""
         return apply_local_vector(self.gate, self.edge, vec)
 
     def pullback(self, effect: np.ndarray) -> np.ndarray:
         """Heisenberg-picture adjoint sum_K K^dag Q K on an effect matrix or a
         batch of them."""
-        ks = self.kraus_full
-        return _sandwich(ks.conj().transpose(0, 2, 1), effect, ks)
+        return pullback_local(self.gate, self.edge, effect)
 
 
 class BoundedCache:
@@ -384,8 +360,7 @@ def placed_alphabet(gate_set: GateSet, n: int) -> tuple[PlacedGate, ...]:
 
     Of the placements whose rounded full-register action coincides (e.g.
     H (x) I on edges (0,1) and (0,2)) the first is kept, found by a key on
-    the gate's own qubits, so no embedding is built.  Cached per gate-set
-    content and n.
+    the gate's own qubits.  Cached per gate-set content and n.
     """
     if gate_set.kind != "finite":
         raise ValueError("placed alphabet requires a finite gate set")

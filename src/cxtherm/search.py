@@ -19,11 +19,13 @@ mask-dependent score in this package (tr P, the RESET work) is fixed by Q,
 and on (Q, mask) for channel sets, so that a score may read the mask freely
 there.  One effect set is cached per (gate-set content, n).
 
-A query at r splits off the first gate, tr(E^dag(Q) X) = tr(Q E(X)): every
-operator X is pushed through the identity and each placed gate, and one
-matrix product per block of packed rows of M_{r-1} with the packed images
-scores all of M_r.  Ties break toward the first candidate in (level, row,
-gate) order.
+A query at r splits off the first gate, tr(E^dag(Q) X) = tr(Q E(X)): the
+stack of operators X is pushed through the identity and each placed gate,
+one kernel call per gate, and one matrix product per block of packed rows
+of M_{r-1} with the packed images scores all of M_r.  Scores within a
+relative TIE of the least are ties, and ties break toward the first
+candidate in (level, row, gate) order, so last-bit noise never picks the
+witness.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ CHUNK_ROWS = 32
 QUERY_ROWS = 256
 # circuit-count cap used when CXTHERM_BUDGET is unset
 DEFAULT_BUDGET = 10 ** 7
+# relative gap below which two candidates' scores tie
+TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -343,8 +347,11 @@ def minimize_over_effects(
     `score_fn(traces, masks)` is called on blocks of at most QUERY_ROWS rows
     of M_{r-1}.  It receives one array per input operator X holding tr(Q X)
     for every candidate Q of the block, shaped (rows, first gates), and the
-    candidates' masks shaped (rows, 1).  It returns the scores, broadcastable
-    to that shape; np.inf marks an infeasible candidate.
+    candidates' masks shaped (rows, 1).  It returns the scores, finite or
+    np.inf for an infeasible candidate, broadcastable to that shape.  The
+    first candidate within a relative TIE of a block's least score stands
+    for the block, and a later block replaces it only when lower by more
+    than that.
     """
     if r < 0:
         raise ValueError(f"r must be at least 0, got {r}")
@@ -353,14 +360,19 @@ def minimize_over_effects(
     rows, masks, built = effects.upto(max(r - 1, 0))
     first = effects.alphabet if r > 0 else ()
     width = len(first) + 1
-    images = [pack(np.stack([x] + [pg.apply_matrix(x) for pg in first])).T for x in operators]
-    best_value, best = math.inf, 0
+    xs = np.stack(operators)
+    images = pack(np.stack([xs] + [pg.apply_matrix(xs) for pg in first], axis=1)).transpose(0, 2, 1)
+    # a block replaces the best only with a score below `bar`, which stays
+    # inf until a finite score is kept: inf - TIE * inf would be NaN
+    best_value, best, bar = math.inf, 0, math.inf
     for lo in range(0, len(rows), QUERY_ROWS):
         traces = [rows[lo : lo + QUERY_ROWS] @ im for im in images]
         scores = np.broadcast_to(score_fn(traces, masks[lo : lo + QUERY_ROWS, None]), traces[0].shape)
-        i = int(np.argmin(scores))
-        if scores.flat[i] < best_value:
+        low = float(scores.min())
+        if low < bar:
+            i = int(np.argmax(scores <= low + TIE * abs(low)))
             best_value, best = float(scores.flat[i]), lo * width + i
+            bar = best_value - TIE * abs(best_value)
     row, g = divmod(best, width)
     circuit = effects.circuit(row, g - 1 if g else None)
     return BestCandidate(best_value, circuit, int(masks[row]), len(rows), len(rows) * width, not built)

@@ -45,6 +45,8 @@ from cxtherm.sampling import (
 )
 from cxtherm.thermo import ThermalModel, compression_search, erasure_search, gibbs_preserving_gate_set
 
+from oracles import embedded_kraus
+
 LOG2 = math.log(2.0)
 GS = default_gate_set()
 GS_CHAIN = default_gate_set("chain")
@@ -159,16 +161,15 @@ def _prop_partial_trace(idx):
     return h_full <= h_red + LOG2 + 1e-8
 
 
-_SELF_INVERSE = [pg for pg in placed_alphabet(GS, 2)
-                 if np.allclose(pg.kraus_full[0] @ pg.kraus_full[0], np.eye(4), atol=1e-12)]
+_SELF_INVERSE = [u for u in (embedded_kraus(pg.gate, pg.edge, 2)[0] for pg in placed_alphabet(GS, 2))
+                 if np.allclose(u @ u, np.eye(4), atol=1e-12)]
 
 
 def _prop_prerotation(idx):
     rng = task_rng(13_000 + idx)
-    pg = _SELF_INVERSE[int(rng.integers(len(_SELF_INVERSE)))]
+    u = _SELF_INVERSE[int(rng.integers(len(_SELF_INVERSE)))]
     rho = rand_state(2, 13_500 + idx)
-    rotated = DensityOperator(rho.register,
-                              pg.kraus_full[0] @ rho.matrix @ pg.kraus_full[0].conj().T)
+    rotated = DensityOperator(rho.register, u @ rho.matrix @ u.conj().T)
     return (cx_entropy(rotated, GS, 2, 0.8).value
             <= cx_entropy(rho, GS, 1, 0.8).value + 1e-8)
 

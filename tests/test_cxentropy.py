@@ -212,16 +212,13 @@ class TestStructuralBounds:
         # U is a word over self-inverse gates, so C(U^dag) <= its length
         from cxtherm.gates import placed_alphabet
 
-        alphabet = placed_alphabet(gate_set, 2)
-        self_inv = [pg for pg in alphabet
-                    if np.allclose(pg.kraus_full[0] @ pg.kraus_full[0], np.eye(4), atol=1e-12)]
+        unitaries = [embedded_kraus(pg.gate, pg.edge, 2)[0] for pg in placed_alphabet(gate_set, 2)]
+        self_inv = [u for u in unitaries if np.allclose(u @ u, np.eye(4), atol=1e-12)]
         for seed in range(3):
             rng = task_rng(seed)
-            pg = self_inv[int(rng.integers(len(self_inv)))]
+            u = self_inv[int(rng.integers(len(self_inv)))]
             rho = rand_state(2, 80 + seed)
-            rotated = DensityOperator(
-                rho.register, pg.kraus_full[0] @ rho.matrix @ pg.kraus_full[0].conj().T
-            )
+            rotated = DensityOperator(rho.register, u @ rho.matrix @ u.conj().T)
             h_rot = cx_entropy(rotated, gate_set, 2, 0.8).value
             h_orig = cx_entropy(rho, gate_set, 1, 0.8).value
             assert h_rot <= h_orig + 1e-9

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cxtherm.cxentropy as cxentropy_module
 import cxtherm.experiments as experiments_module
 import cxtherm.gates as gates_module
 import cxtherm.thermo as thermo_module
@@ -44,7 +45,13 @@ from cxtherm.gates import (
 )
 from cxtherm.registers import DensityOperator, ghz_state, register, state_from_vector, zero_state
 from cxtherm.sampling import haar_unitary, random_density_matrix, sample_haar_unitary, task_rng
-from cxtherm.search import approx_state_complexity, circuit_complexity, circuit_count, enumerate_effects
+from cxtherm.search import (
+    approx_state_complexity,
+    circuit_complexity,
+    circuit_count,
+    effect_set,
+    enumerate_effects,
+)
 from cxtherm.thermo import (
     Extract,
     GateStep,
@@ -52,6 +59,7 @@ from cxtherm.thermo import (
     Reset,
     ThermalModel,
     compression_search,
+    erasure_search,
     gibbs_preserving_gate_set,
     run_protocol,
 )
@@ -129,7 +137,7 @@ class TestEmbedding:
         # placing a gate of the n_a-qubit alphabet straight on the n-qubit
         # register is bit for bit the embedding of its n_a-qubit embedding
         for pg in placed_alphabet(gate_set, n_a):
-            nested = expand_operator(pg.kraus_full[0], n, list(range(n_a)))
+            nested = expand_operator(embedded_kraus(pg.gate, pg.edge, n_a)[0], n, list(range(n_a)))
             assert np.array_equal(expand_operator(pg.gate.unitary, n, pg.edge), nested)
 
 
@@ -189,6 +197,32 @@ class TestPlacedAlphabet:
         assert approx_state_complexity(bell, gate_set, 1e-9, 2) == 2
         assert circuit_complexity(gate_set, cnot, 1) == 1
 
+    def test_effect_sets_build_no_embedding(self, monkeypatch):
+        # the engine pulls effects back and pushes query operators through
+        # the first gate locally: gate-set contents no other test caches grow
+        # M_2, answer an exact query and an erasure search with every 5-qubit
+        # embedding refused
+        n = 5
+        by_name = {g.name: g for g in default_gate_set().gates}
+        small = GateSet("finite", tuple(unitary_gate(name + "_copy", by_name[name].unitary)
+                                        for name in ("cnot", "h_a")), "chain")
+        model = ThermalModel(tuple(task_rng(55).uniform(0.2, 2.0, n)))
+        gibbs = gibbs_preserving_gate_set(model, "chain")
+        rho = DensityOperator(register(n), random_density_matrix(2 ** n, 3, task_rng(56)))
+        original = gates_module.expand_operator
+
+        def refuse(mat, n_arg, positions):
+            if n_arg == n:
+                raise AssertionError(f"{n}-qubit embedding built")
+            return original(mat, n_arg, positions)
+
+        for module in (gates_module, cxentropy_module, thermo_module, experiments_module):
+            monkeypatch.setattr(module, "expand_operator", refuse, raising=False)
+        rows, _, built = effect_set(small, n).upto(2)
+        assert built and len(rows) > 2 ** n
+        assert cx_entropy(rho, small, 2, 0.9).certainty == "exact"
+        assert erasure_search(rho, model, gibbs, 1, 0.9).success_probability >= 0.9 - 1e-9
+
 
 class TestLocalApplication:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -240,8 +274,8 @@ class TestLocalApplication:
     ])
     def test_register_simulation_builds_no_embedding(self, gate_set, monkeypatch, entry):
         # a gate applied once on the register (6 qubits; 4 for cx_entropy's
-        # witness) acts locally; dense embeddings are left to the search's
-        # cached alphabets, which the warm-up call builds
+        # witness) acts locally; the warm-up call builds the search's cached
+        # alphabets, so the second call places no gate either
         n = 4 if entry == "cx_entropy" else 6
         model = ThermalModel(tuple(task_rng(6).uniform(0.2, 2.0, 6)))
         channel = next(g for g, e in gibbs_preserving_gate_set(model).placed_extra if e == (1, 4))
@@ -339,38 +373,36 @@ class TestLocalApplication:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("connectivity", ["all-to-all", "chain"])
-    def test_kraus_stack_equals_per_kraus_products_bitwise(self, n, connectivity):
+    def test_placed_gate_runs_the_local_kernel(self, n, connectivity):
+        # apply_matrix and pullback on a matrix, a batch of 5 and a batch of
+        # more than BLOCK_ENTRIES entries, which goes a slice at a time: bit
+        # for bit the kernel's contraction, within 1e-14 of the dense
+        # embedding; the engine's inputs are effects and states, of norm <= 1
         rng = task_rng(70 + n)
         d = 2 ** n
         model = ThermalModel(tuple(float(e) for e in rng.uniform(0.1, 2.0, n)))
         sets = (default_gate_set(connectivity), gibbs_preserving_gate_set(model, connectivity))
+        inputs = []
+        for shape in ((d, d), (5, d, d), (gates_module.BLOCK_ENTRIES // d ** 2 + 1, d, d)):
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            x = x + np.swapaxes(x, -1, -2).conj()
+            inputs.append(x / np.linalg.norm(x, ord=2, axis=(-2, -1))[..., None, None])
+        assert inputs[-1].size > gates_module.BLOCK_ENTRIES
         channels = 0
         for gs in sets:
             for pg in placed_alphabet(gs, n):
                 channels += not pg.gate.is_unitary
                 kraus_full = embedded_kraus(pg.gate, pg.edge, n)
-                for shape in ((d, d), (5, d, d)):
-                    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                    x = x + np.swapaxes(x, -1, -2).conj()
-                    assert np.array_equal(pg.apply_matrix(x), dense_apply(kraus_full, x)), (pg.gate.name, shape)
-                    assert np.array_equal(pg.pullback(x), dense_pullback(kraus_full, x)), (pg.gate.name, shape)
+                for x in inputs:
+                    batch = x.reshape(-1, d, d)
+                    for got, tensor, dense in (
+                        (pg.apply_matrix(x), pg.gate.superoperator, dense_apply),
+                        (pg.pullback(x), pg.gate.adjoint_superoperator, dense_pullback),
+                    ):
+                        want = tensordot_contract(tensor, pg.edge, batch).reshape(x.shape)
+                        assert np.array_equal(got, want), (pg.gate.name, pg.edge, x.shape)
+                        assert np.abs(got - dense(kraus_full, x)).max() <= 1e-14, (pg.gate.name, x.shape)
         assert channels > 0
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_kraus_stack_in_slices_equals_per_kraus_products_bitwise(self, monkeypatch, n):
-        # the batch goes a slice at a time; the Kraus stack is never split
-        monkeypatch.setattr(gates_module, "BLOCK_ENTRIES", 2 * 17 * 4 ** n)
-        rng = task_rng(80 + n)
-        d = 2 ** n
-        model = ThermalModel(tuple(float(e) for e in rng.uniform(0.1, 2.0, n)))
-        channels = [pg for pg in placed_alphabet(gibbs_preserving_gate_set(model), n) if not pg.gate.is_unitary]
-        for pg in channels:
-            kraus_full = embedded_kraus(pg.gate, pg.edge, n)
-            for batch in (3, 5):
-                x = rng.normal(size=(batch, d, d)) + 1j * rng.normal(size=(batch, d, d))
-                assert np.array_equal(pg.apply_matrix(x), dense_apply(kraus_full, x)), (pg.gate.name, batch)
-                assert np.array_equal(pg.pullback(x), dense_pullback(kraus_full, x)), (pg.gate.name, batch)
-        assert channels and all(len(pg.kraus_full) == 17 for pg in channels)
 
 
 class TestPullback:
@@ -453,8 +485,8 @@ class TestCircuitComplexity:
         gate_set = default_gate_set()
         rng = task_rng(seed)
         alphabet = placed_alphabet(gate_set, 2)
-        a = alphabet[int(rng.integers(len(alphabet)))].kraus_full[0]
-        b = alphabet[int(rng.integers(len(alphabet)))].kraus_full[0]
+        a, b = (embedded_kraus(pg.gate, pg.edge, 2)[0]
+                for pg in (alphabet[int(rng.integers(len(alphabet)))] for _ in range(2)))
         c_ab = circuit_complexity(gate_set, b @ a, 2)
         assert c_ab <= 2
 
@@ -465,7 +497,7 @@ class TestStateComplexity:
 
     def test_bell_matches_brute_force(self, gate_set):
         alphabet = placed_alphabet(gate_set, 2)
-        mats = [pg.kraus_full[0] for pg in alphabet]
+        mats = [embedded_kraus(pg.gate, pg.edge, 2)[0] for pg in alphabet]
         bell = np.zeros(4)
         bell[0] = bell[3] = 1 / math.sqrt(2)
         table = brute_force_state_distance(mats, bell, 2)

@@ -5,8 +5,9 @@ A top-level name counts as used when it appears as a word anywhere in
 definition; a non-dunder method counts as used when some file reads it as
 `.name`.  Standard library only: `ast` finds the definitions, a regex search
 finds the uses.  The package also keeps one local gate contraction: no
-module mentions `tensordot`, and only `gates.py` holds the kernel's
-`_layout` and its block bound `BLOCK_ENTRIES`.
+module mentions `tensordot`, only `gates.py` holds the kernel's `_layout`
+and its block bound `BLOCK_ENTRIES`, and no gate is embedded in the full
+register.
 """
 
 import ast
@@ -101,3 +102,13 @@ def test_one_block_bound():
     assert users == ["gates.py"]
     thermo = (PACKAGE / "thermo.py").read_text()
     assert "moveaxis" not in thermo and "multiply.outer" not in thermo
+
+
+def test_no_gate_embedding():
+    # the full-register embedding is named in gates.py at its definition
+    # alone; only the modules that embed operators other than gates call it
+    texts = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert sorted(name for name, text in texts.items() if "expand_operator" in text) == [
+        "cxentropy.py", "experiments.py", "gates.py",
+    ]
+    assert texts["gates.py"].count("expand_operator") == 1

@@ -36,6 +36,7 @@ from cxtherm.gates import (
 from cxtherm.registers import DensityOperator, HermitianOperator, ghz_state, partial_trace, register
 from cxtherm.sampling import random_density_matrix, sample_haar_unitary, task_rng
 from cxtherm.search import (
+    QUERY_ROWS,
     ReachableSet,
     approx_state_complexity,
     circuit_complexity,
@@ -257,6 +258,61 @@ def test_ties_break_toward_the_first_candidate(n, r):
     # every candidate scores 0: the first (row 0, no gate) must win
     best = minimize_over_effects(DEFAULT, n, r, [np.eye(2 ** n)], lambda traces, masks: 0.0 * traces[0])
     assert best.circuit.ops == () and best.mask_bits == 0
+
+
+def indexed_score(values):
+    """A score_fn that scores each block by values(rows, gates), given the
+    candidates' row indices in M_{r-1} and their first-gate columns."""
+    seen = [0]
+
+    def score(traces, masks):
+        height, width = traces[0].shape
+        rows = seen[0] + np.arange(height)[:, None]
+        seen[0] += height
+        return values(rows, np.arange(width)[None, :])
+
+    return score
+
+
+def tie_query(values):
+    """minimize_over_effects at r = 3 on 4 qubits under indexed_score(values),
+    and the masks of M_2, which spans three blocks."""
+    rows, masks, _ = effect_set(DEFAULT, 4).upto(2)
+    assert len(rows) > 2 * QUERY_ROWS
+    return minimize_over_effects(DEFAULT, 4, 3, [np.eye(16)], indexed_score(values)), masks
+
+
+def noise(rows, gates):
+    return task_rng(811).random(np.broadcast_shapes(rows.shape, gates.shape))
+
+
+def test_scores_within_a_tie_keep_the_first_candidate():
+    # 1 + 1e-15 * noise ties everywhere, the first candidate scoring highest
+    best, _ = tie_query(lambda rows, gates: np.where((rows == 0) & (gates == 0), 1 + 1e-15,
+                                                     1 + 1e-15 * noise(rows, gates)))
+    assert best.circuit.ops == () and best.mask_bits == 0 and best.value == 1 + 1e-15
+
+
+@pytest.mark.parametrize("row, gate", [(3, 2), (580, 5)])
+def test_a_later_candidate_lower_than_a_tie_wins(row, gate):
+    best, masks = tie_query(lambda rows, gates: np.where((rows == row) & (gates == gate), 1 - 1e-9, 1.0))
+    assert best.value == 1 - 1e-9
+    assert best.circuit == effect_set(DEFAULT, 4).circuit(row, gate - 1)
+    assert best.mask_bits == masks[row]
+
+
+def test_infeasible_blocks_before_the_first_feasible_one():
+    # no finite score in the first block, nor in the second's first rows
+    first = QUERY_ROWS + 10
+    best, masks = tie_query(lambda rows, gates: np.where(rows < first, math.inf,
+                                                         1 + 1e-15 * noise(rows, gates)))
+    assert math.isfinite(best.value)
+    assert best.circuit == effect_set(DEFAULT, 4).circuit(first) and best.mask_bits == masks[first]
+
+
+def test_no_feasible_candidate_scores_inf():
+    best, _ = tie_query(lambda rows, gates: np.full(np.broadcast_shapes(rows.shape, gates.shape), math.inf))
+    assert best.value == math.inf
 
 
 def test_concurrent_queries_share_one_build():

@@ -45,7 +45,7 @@ from cxtherm.thermo import (
     validate_gibbs_gate_set,
 )
 
-from oracles import brute_force_protocol_work, kron_replace_qubit, outer_replace_qubit
+from oracles import brute_force_protocol_work, embedded_kraus, kron_replace_qubit, outer_replace_qubit
 
 CNOT_GATE = unitary_gate("cnot", CNOT)
 
@@ -409,7 +409,7 @@ class TestGBound:
         # tiny instance: value - log(1/eta) <= min work over interleaved
         # protocols with the same resources
         alphabet = placed_alphabet(gate_set, 2)
-        gate_mats = [pg.kraus_full[0] for pg in alphabet[:6]]
+        gate_mats = [embedded_kraus(pg.gate, pg.edge, 2)[0] for pg in alphabet[:6]]
         eta = 0.8
         for seed in (0, 1):
             rho = rand_state(2, 80 + seed, rank=2)
