@@ -25,7 +25,6 @@ from .gates import (
     Circuit,
     Gate,
     GateSet,
-    SimpleEffect,
     apply_circuit,
     default_gate_set,
     entangling_power,

@@ -168,11 +168,23 @@ def load_state(spec: str, n: int, seed: int) -> DensityOperator:
     if digits:
         n = int(digits)
     if name == "haar":
-        return sample_pure_state(n, int(args) if args else seed)
+        try:
+            s = int(args) if args else seed
+        except ValueError:
+            raise ConfigError(f"state spec {spec!r}: haar takes one integer seed") from None
+        return sample_pure_state(n, s)
     if name == "mixture":
         parts = [p.strip() for p in args.split(",")] if args else []
-        eps = float(parts[0]) if parts else 0.1
-        s = int(parts[1]) if len(parts) > 1 else seed
+        usage = f"state spec {spec!r}: mixture takes a float eps and an integer seed"
+        if len(parts) > 2:
+            raise ConfigError(usage)
+        try:
+            eps = float(parts[0]) if parts else 0.1
+            s = int(parts[1]) if len(parts) > 1 else seed
+        except ValueError:
+            raise ConfigError(usage) from None
+        if not 0.0 <= eps <= 1.0:
+            raise ConfigError(f"state spec {spec!r}: mixture eps must lie in [0, 1]")
         psi = sample_pure_state(n, s)
         mat = (1.0 - eps) * zero_state(n).matrix + eps * psi.matrix
         return DensityOperator(register(n), mat)
@@ -331,11 +343,14 @@ def _cmd_entangle(cfg: RunConfig) -> int:
 
 
 def _cmd_quench(cfg: RunConfig) -> int:
+    usage = f"--times must be start:stop:count, finite numbers and an integer count >= 0, got {cfg.times!r}"
     try:
-        start, stop, count = (float(x) for x in str(cfg.times).split(":"))
-        count = int(count)
-    except (ValueError, OverflowError):
-        raise ConfigError(f"--times must be start:stop:count, got {cfg.times!r}") from None
+        start, stop, count = str(cfg.times).split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise ConfigError(usage) from None
+    if count < 0 or not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(usage)
     times = list(np.linspace(start, stop, count))
     trace = experiments.ising_quench(cfg.n, cfg.coupling, cfg.transverse, times)
     rows = _in_units(cfg, [

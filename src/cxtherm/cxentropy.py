@@ -18,7 +18,6 @@ from .gates import (
     expand_operator,
     mask_traces_identity,
     pullback_effect,
-    simple_effect_from_bits,
 )
 from .registers import DensityOperator, HermitianOperator, PovmEffect, partial_trace
 from .search import minimize_over_effects
@@ -102,7 +101,7 @@ def _enumeration_estimate(
         return np.where(rho_tr >= eta_eff, raw, math.inf)
 
     best = minimize_over_effects(gate_set, n, r, mats, score)
-    witness = pullback_effect(best.circuit, simple_effect_from_bits(n, best.mask_bits))
+    witness = pullback_effect(best.circuit, best.mask_bits)
     _verify_witness(witness, rho, eta)
     value = math.inf if best.value <= 0.0 else -math.log(best.value)
     solver = {
@@ -271,6 +270,6 @@ def hypothesis_test_witness(
     accept = float(np.trace(q_effect.matrix @ rho.matrix).real)
     q = eta / accept
     false_accept = q * float(np.trace(q_effect.matrix @ sigma.matrix).real)
-    if abs(q * accept - eta) > 1e-10 or false_accept > delta + 1e-10:
+    if abs(q * accept - eta) > WITNESS_SLACK or false_accept > delta + WITNESS_SLACK:
         raise AssertionError("witness failed numerical re-verification")
     return q_effect, q

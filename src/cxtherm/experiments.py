@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cxentropy import (
+    WITNESS_SLACK,
     ConditionalSpec,
     conditional_cx_entropy,
     cx_entropy,
@@ -117,7 +118,7 @@ def _transition_sample(
             back = vec
             for gate, edge in inv.ops:
                 back = apply_local_vector(gate, edge, back)
-            certified = abs(back[0]) ** 2 >= eta - 1e-10
+            certified = abs(back[0]) ** 2 >= eta - WITNESS_SLACK
     if source == "finite":
         est = cx_entropy(state_from_vector(vec), gate_set, r, eta)
         return certified, est.value, est.value, "exact"

@@ -1,4 +1,4 @@
-"""Two-qubit gate sets, placed gates, circuits, and simple effects.
+"""Two-qubit gate sets, placed gates, circuits, and simple projectors.
 
 A gate is always a 4x4 unitary or a 4x4-Kraus channel; single-qubit actions
 are carried as u (x) I factors.  One kernel, `_contract`, applies every gate
@@ -11,6 +11,10 @@ keep two full temporaries alive (16 MiB each at n = 10).  A `PlacedGate`
 binds a gate to an edge and runs the same kernel, so no gate is ever
 embedded in the full register.  `placed_alphabet` deduplicates placements
 on the gates' own qubits.  Circuit cost counts placed non-identity gates.
+
+A simple projector |0><0|_S (x) I is named by the int mask bits m of the
+qubit set S: qubit i is in S iff bit n-1-i of m is set, the bit that qubit i
+sets in a basis-state index.  So P_m accepts basis state b iff b & m == 0.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -418,46 +422,10 @@ def apply_circuit(circuit: Circuit, rho: DensityOperator) -> DensityOperator:
     return DensityOperator._derived(rho.register, sigma)
 
 
-@dataclass(frozen=True)
-class SimpleEffect:
-    """Tensor product of |0><0| (masked qubits) and identity factors."""
-
-    mask: tuple[bool, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.mask)
-
-    @property
-    def trace(self) -> float:
-        return float(2 ** sum(1 for m in self.mask if not m))
-
-    def matrix(self) -> np.ndarray:
-        diag = mask_matrix(self.n)[mask_bits(self.mask)]
-        return np.diag(diag.astype(complex))
-
-
-def mask_bits(mask: Sequence[bool]) -> int:
-    """Mask as an integer whose bit layout matches basis-state indices."""
-    n = len(mask)
-    return sum(1 << (n - 1 - i) for i, m in enumerate(mask) if m)
-
-
-def simple_effect_from_bits(n: int, bits: int) -> SimpleEffect:
-    return SimpleEffect(tuple(bool((bits >> (n - 1 - i)) & 1) for i in range(n)))
-
-
-def iter_simple_effects(n: int) -> Iterator[SimpleEffect]:
-    for bits in range(2 ** n):
-        yield simple_effect_from_bits(n, bits)
-
-
 @lru_cache(maxsize=16)
 def mask_matrix(n: int) -> np.ndarray:
-    """Row m, column b: 1.0 iff basis state b is accepted by mask m.
-
-    With bit-aligned masks this is just b & m == 0, so mask traces of a state
-    are mask_matrix(n) @ diag(sigma).
+    """Row m, column b: 1.0 iff basis state b is accepted by mask m, i.e.
+    b & m == 0, so the mask traces of a state are mask_matrix(n) @ diag(sigma).
     """
     d = 2 ** n
     b = np.arange(d)
@@ -470,13 +438,16 @@ def mask_traces_identity(n: int) -> np.ndarray:
     return mask_matrix(n).sum(axis=1)
 
 
-def pullback_effect(circuit: Circuit, effect: SimpleEffect | PovmEffect) -> PovmEffect:
-    """Q = E_1^dag ... E_r^dag(P) for the circuit E_r ... E_1."""
-    simple = effect if isinstance(effect, SimpleEffect) else None
-    p = effect.matrix() if simple is not None else effect.matrix
+def pullback_effect(circuit: Circuit, effect: int | PovmEffect) -> PovmEffect:
+    """Q = E_1^dag ... E_r^dag(P) for the circuit E_r ... E_1, where P is the
+    simple projector of these mask bits or a given effect."""
+    if isinstance(effect, PovmEffect):
+        p, bits = effect.matrix, None
+    else:
+        p, bits = np.diag(mask_matrix(circuit.n)[effect].astype(complex)), effect
     for gate, edge in reversed(circuit.ops):
         p = pullback_local(gate, edge, p)
-    return PovmEffect(register(circuit.n), p, provenance=(circuit, simple))
+    return PovmEffect(register(circuit.n), p, provenance=(circuit, bits))
 
 
 def inverse_circuit(circuit: Circuit, gate_set: GateSet | None = None) -> Circuit | None:

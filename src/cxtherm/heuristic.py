@@ -26,6 +26,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
+from .cxentropy import FEASIBILITY_SLACK, WITNESS_SLACK
 from .gates import _contract, edges, mask_matrix
 from .parallel import deterministic_map
 from .registers import partial_trace_matrix
@@ -189,11 +190,11 @@ def heuristic_search(
     )
 
     if r <= 0 or not pair_list:
-        # no gate can be placed, so M_r = M_0: scan the simple effects directly
+        # no gate can be placed, so M_r = M_0: scan the simple projectors directly
         rho_tr = mm @ np.real(np.diag(rho))
         gam_tr = mm @ np.real(np.diag(gamma))
         for m in masks:
-            if rho_tr[m] >= eta - 1e-12:
+            if rho_tr[m] >= eta - FEASIBILITY_SLACK:
                 score = gam_tr[m] if reduced else gam_tr[m] / rho_tr[m]
                 if score < best.score:
                     q = np.diag(mm[m].astype(complex))
@@ -233,7 +234,7 @@ def heuristic_search(
             "evaluations": nfev,
             "penalty": penalty,
             "accept": accept,
-            "feasible": accept >= eta - 1e-10,
+            "feasible": accept >= eta - WITNESS_SLACK,
             "score": score,
         }
         return detail, q

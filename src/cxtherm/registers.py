@@ -145,8 +145,9 @@ class DensityOperator(HermitianOperator):
 
 @dataclass(frozen=True)
 class PovmEffect(HermitianOperator):
-    """Measurement effect 0 <= Q <= I, optionally tagged with the circuit and
-    simple effect that generated it."""
+    """Measurement effect 0 <= Q <= I, optionally tagged with the provenance
+    (circuit, mask bits) of the circuit and simple projector that generated it;
+    the bits are None for an effect pulled back from a given effect."""
 
     provenance: tuple | None = None
 

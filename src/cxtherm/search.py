@@ -5,8 +5,8 @@ complexity-restricted effect sets.
 grown from start rows as R_k = R_{k-1} u {step(g, x) : x in R_{k-1}, g in the
 alphabet} and deduplicated on entries rounded to 1e-10.  Complex rows are
 stored as real views, so one rounding rule, index and provenance serve
-effects (`effect_set`: simple projectors pulled back, Q -> E^dag(Q), as packed
-Hermitian rows), unitaries (`circuit_complexity`: the identity, V -> U V,
+effects (`effect_set`: simple projectors pulled back, Q -> E^dag(Q), as rows
+Re Q + Im Q), unitaries (`circuit_complexity`: the identity, V -> U V,
 stored as V^T so that U acts on each of its rows as on a statevector) and
 states (`approx_state_complexity`: |0^n>, psi -> U psi with its global phase
 fixed).  `least_level` finds the first level holding a row with a given
@@ -21,8 +21,8 @@ there.  One effect set is cached per (gate-set content, n).
 
 A query at r splits off the first gate, tr(E^dag(Q) X) = tr(Q E(X)): the
 stack of operators X is pushed through the identity and each placed gate,
-one kernel call per gate, and one matrix product per block of packed rows
-of M_{r-1} with the packed images scores all of M_r.  Scores within a
+one kernel call per gate, and one matrix product per block of rows of
+M_{r-1} with the images' rows scores all of M_r.  Scores within a
 relative TIE of the least are ties, and ties break toward the first
 candidate in (level, row, gate) order, so last-bit noise never picks the
 witness.
@@ -34,7 +34,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -49,7 +48,6 @@ from .gates import (
     gate_set_key,
     mask_matrix,
     placed_alphabet,
-    simple_effect_from_bits,
 )
 from .registers import DensityOperator, PovmEffect, register
 
@@ -101,33 +99,25 @@ def check_budget(alphabet_size: int, r: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# packed Hermitian rows
-
-
-@lru_cache(maxsize=16)
-def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(d, 1)
+# rows Re Q + Im Q
 
 
 def pack(mats: np.ndarray) -> np.ndarray:
-    """Hermitian (..., d, d) to real (..., d*d) with pack(A) . pack(B) = tr(A B):
-    the diagonal, then sqrt(2) times the real and imaginary upper triangle."""
+    """Hermitian (..., d, d) to the real row (..., d*d) of Re Q + Im Q.
+
+    Re Q is symmetric and Im Q antisymmetric, so the cross terms cancel and
+    pack(A) . pack(B) = tr(A B)."""
     d = mats.shape[-1]
-    i, j = _upper(d)
-    off = math.sqrt(2.0) * mats[..., i, j]
-    diag = np.diagonal(mats, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, off.real, off.imag], axis=-1)
+    return (mats.real + mats.imag).reshape(mats.shape[:-2] + (d * d,))
 
 
 def unpack(rows: np.ndarray, d: int) -> np.ndarray:
-    i, j = _upper(d)
-    k = len(i)
-    out = np.zeros(rows.shape[:-1] + (d, d), dtype=complex)
-    diag = np.arange(d)
-    out[..., diag, diag] = rows[..., :d]
-    off = (rows[..., d : d + k] + 1j * rows[..., d + k :]) / math.sqrt(2.0)
-    out[..., i, j] = off
-    out[..., j, i] = off.conj()
+    """The Hermitian matrices of rows R: Re Q = (R + R^T)/2, Im Q = (R - R^T)/2."""
+    r = rows.reshape(rows.shape[:-1] + (d, d))
+    rt = np.swapaxes(r, -1, -2)
+    out = np.empty(r.shape, dtype=complex)
+    out.real = (r + rt) * 0.5
+    out.imag = (r - rt) * 0.5
     return out
 
 
@@ -247,8 +237,9 @@ def effect_set(gate_set: GateSet, n: int) -> ReachableSet:
 
 
 def enumerate_effects(gate_set: GateSet, r: int, n: int) -> Iterator[PovmEffect]:
-    """All effects in M_r = {pullbacks of simple effects through <= r gates},
-    each with the circuit and simple effect that first reached it.
+    """All effects in M_r = {pullbacks of simple projectors through <= r gates},
+    each as provenance (circuit, mask bits) of the circuit and simple
+    projector that first reached it.
 
     Effects equal after rounding to 1e-10 are yielded once (once per mask for
     channel gate sets); this affects only the number of items yielded, never
@@ -262,7 +253,7 @@ def enumerate_effects(gate_set: GateSet, r: int, n: int) -> Iterator[PovmEffect]
     check_budget(len(effects.alphabet), r)
     rows, masks, _ = effects.upto(r)
     for i in range(len(rows)):
-        provenance = (effects.circuit(i), simple_effect_from_bits(n, int(masks[i])))
+        provenance = (effects.circuit(i), int(masks[i]))
         yield PovmEffect(register(n), unpack(rows[i], 2 ** n), provenance=provenance)
 
 

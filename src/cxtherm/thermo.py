@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cxentropy import cx_entropy
+from .cxentropy import FEASIBILITY_SLACK, cx_entropy
 from .errors import ProtocolError
 from .gates import (
     SWAP,
@@ -37,7 +37,6 @@ from .gates import (
     gibbs_check,
     mask_matrix,
     mask_traces_identity,
-    simple_effect_from_bits,
     unitary_gate,
 )
 from .registers import DensityOperator, partial_trace_matrix, register
@@ -252,8 +251,8 @@ def _check_gibbs(gate_set: GateSet, model: ThermalModel) -> bool:
 
 
 def _unmasked(n: int, bits: int) -> tuple[int, ...]:
-    """The qubits that the simple effect with these mask bits leaves free."""
-    return tuple(i for i, m in enumerate(simple_effect_from_bits(n, bits).mask) if not m)
+    """The qubits that the simple projector with these mask bits leaves free."""
+    return tuple(i for i in range(n) if not (bits >> (n - 1 - i)) & 1)
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,7 @@ def erasure_search(
 
     # a masked qubit is projected to |0>; the RESET set is the rest
     work = np.array([sum(model.reset_work(i) for i in _unmasked(n, m)) for m in range(2 ** n)], float)
-    eta_eff = eta - 1e-12
+    eta_eff = eta - FEASIBILITY_SLACK
 
     def score(traces, masks):
         return np.where(traces[0] >= eta_eff, work[masks], math.inf)
@@ -442,7 +441,7 @@ def compression_search(
     if not gate_set.is_unitary_only:
         raise ValueError("compression is defined for unitary computations")
     n = rho.n
-    target = 1.0 - eps - 1e-12
+    target = 1.0 - eps - FEASIBILITY_SLACK
     kept = np.round(np.log2(mask_traces_identity(n)))  # |W| per mask
 
     def score(traces, masks):

@@ -19,11 +19,19 @@ from cxtherm.gates import (
     Circuit,
     edges,
     expand_operator,
-    iter_simple_effects,
     placed_alphabet,
 )
 from cxtherm.heuristic import su4_generators
 from cxtherm.registers import PovmEffect, partial_trace_matrix, register
+
+
+def simple_projector(n, bits):
+    """|0><0| on every qubit i whose bit n-1-i is set in `bits` and I on the
+    rest, as a Kronecker product built one factor at a time."""
+    p = np.eye(1, dtype=complex)
+    for i in range(n):
+        p = np.kron(p, np.diag([1.0, 0.0]) if (bits >> (n - 1 - i)) & 1 else np.eye(2))
+    return p
 
 
 def diagonal_hyp_oracle(rho_diag, gamma_diag, eta, steps=200):
@@ -287,7 +295,7 @@ def iter_circuits(gate_set, n, r):
 
 def dfs_enumerate_effects(gate_set, r, n, dedup=True):
     """M_r by depth-first search over every circuit of at most r gates, each
-    simple effect pulled back gate by gate through dense embeddings built
+    simple projector pulled back gate by gate through dense embeddings built
     here, independent of the engine's placed alphabet.  With dedup=False every
     (circuit, mask) pair is yielded.  Deduplication hashes matrices rounded
     to 1e-10; it affects only the number of items yielded, never the set."""
@@ -296,22 +304,18 @@ def dfs_enumerate_effects(gate_set, r, n, dedup=True):
     if gate_set.kind != "finite":
         raise ValueError("exact enumeration requires a finite gate set")
     seen = set()
-    simple = list(iter_simple_effects(n))
+    simple = [simple_projector(n, bits) for bits in range(2 ** n)]
     for circuit in iter_circuits(gate_set, n, r):
         placed = [embedded_kraus(g, e, n) for g, e in circuit.ops]
-        pulled = []
-        for eff in simple:
-            p = eff.matrix()
+        for bits, p in enumerate(simple):
             for kraus_full in reversed(placed):
                 p = dense_pullback(kraus_full, p)
-            pulled.append(p)
-        for eff, p in zip(simple, pulled):
             if dedup:
                 key = np.round(p, MATRIX_HASH_DECIMALS).tobytes()
                 if key in seen:
                     continue
                 seen.add(key)
-            yield PovmEffect(register(n), p, provenance=(circuit, eff))
+            yield PovmEffect(register(n), p, provenance=(circuit, bits))
 
 
 def first_occurrence_chain(reach, levels):

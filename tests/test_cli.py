@@ -40,6 +40,12 @@ class TestLoadState:
         with pytest.raises(ConfigError):
             load_state("wibble", 2, 0)
 
+    @pytest.mark.parametrize("spec", ["haar(abc)", "haar3(1,2)", "haar(2.5)", "mixture(x,2)",
+                                      "mixture(0.1,y)", "mixture(0.1,2,3)", "mixture(2)", "mixture(nan)"])
+    def test_bad_spec_arguments_name_the_spec(self, spec):
+        with pytest.raises(ConfigError, match=re.escape(f"state spec {spec!r}: ")):
+            load_state(spec, 2, 0)
+
     def test_state_file_round_trip(self, tmp_path):
         # rank-deficient states regress the clamp stability, so sweep ranks
         for seed, rank in ((11, 4), (42, 3), (7, 1)):
@@ -126,6 +132,12 @@ class TestDispatch:
         assert res.returncode == 2
         assert f"state file {path}: " in res.stderr
 
+    def test_bad_state_spec_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["entropy", "--state", "mixture(x,2)"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: state spec 'mixture(x,2)': ")
+
     def test_bad_units_exit_2(self, tmp_path, run_cli):
         res = run_cli(["entropy", "--units", "furlongs"], tmp_path)
         assert res.returncode == 2
@@ -190,6 +202,11 @@ class TestDispatch:
         (["transition", "--depths", ""], "depths"),
         (["quench", "--times", "0:3"], "--times"),
         (["quench", "--times", "0:x:3"], "--times"),
+        (["quench", "--times", "0:3:2.5"], "--times"),
+        (["quench", "--times", "0:3:1e3"], "--times"),
+        (["quench", "--times", "0:3:-1"], "--times"),
+        (["quench", "--times", "nan:3:3"], "--times"),
+        (["quench", "--times", "0:inf:3"], "--times"),
     ])
     def test_empty_counts_and_grids_exit_2(self, args, name, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -33,14 +33,13 @@ from cxtherm.gates import (
     format_matrix,
     gibbs_check,
     inverse_circuit,
-    iter_simple_effects,
     mask_matrix,
+    mask_traces_identity,
     parse_gate_set,
     placed_alphabet,
     pullback_effect,
     pullback_local,
     format_gate_set,
-    simple_effect_from_bits,
     unitary_gate,
 )
 from cxtherm.registers import DensityOperator, ghz_state, register, state_from_vector, zero_state
@@ -73,6 +72,7 @@ from oracles import (
     embedded_kraus,
     entangling_power_grid_oracle,
     iter_circuits,
+    simple_projector,
     tensordot_contract,
 )
 
@@ -296,7 +296,7 @@ class TestLocalApplication:
             "continuity_trial": lambda: continuity_trial(n, 2, 5),
             "pullback_effect": lambda: pullback_effect(
                 Circuit(n, ((gates["cnot"], (4, 1)), (channel, (1, 4)), (gates["t_b"], (2, 3)))),
-                simple_effect_from_bits(n, 0b100101),
+                0b100101,
             ).matrix,
             "transition_scan": lambda: transition_scan(n, [1, 2], 3, 0.9, gate_set, 2, 0, source="haar_su4"),
             # the r = 1 witness of a Bell pair holds a gate
@@ -418,38 +418,46 @@ class TestPullback:
         )
         circuit = Circuit(2, ops)
         rho = DensityOperator(register(2), random_density_matrix(4, 4, rng))
-        for eff in iter_simple_effects(2):
-            q = pullback_effect(circuit, eff)
+        for bits in range(4):
+            q = pullback_effect(circuit, bits)
             lhs = np.trace(q.matrix @ rho.matrix).real
-            rhs = np.trace(eff.matrix() @ apply_circuit(circuit, rho).matrix).real
+            rhs = np.trace(simple_projector(2, bits) @ apply_circuit(circuit, rho).matrix).real
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_empty_circuit_returns_simple(self):
-        eff = next(iter_simple_effects(2))
-        q = pullback_effect(Circuit(2), eff)
-        assert np.allclose(q.matrix, eff.matrix())
+        # qubit i is masked by bit n-1-i: bits 0b10 project qubit 0 alone
+        for n in (1, 2, 3):
+            for bits in range(2 ** n):
+                q = pullback_effect(Circuit(n), bits)
+                assert np.array_equal(q.matrix, simple_projector(n, bits))
+                assert q.provenance == (Circuit(n), bits)
+        assert np.array_equal(simple_projector(2, 0b10), np.diag([1.0, 1.0, 0.0, 0.0]))
+
+    def test_given_effect_has_no_mask_bits(self):
+        q = pullback_effect(Circuit(2), pullback_effect(Circuit(2), 3))
+        assert q.provenance == (Circuit(2), None)
+        assert np.array_equal(q.matrix, simple_projector(2, 3))
 
     def test_unitary_chain_preserves_trace(self, gate_set):
         circuit = Circuit(2, ((find_gate(gate_set, "h_a"), (0, 1)),
                               (find_gate(gate_set, "cnot"), (0, 1))))
-        for eff in iter_simple_effects(2):
-            q = pullback_effect(circuit, eff)
-            assert np.trace(q.matrix).real == pytest.approx(eff.trace, abs=1e-10)
+        for bits in range(4):
+            q = pullback_effect(circuit, bits)
+            assert np.trace(q.matrix).real == pytest.approx(mask_traces_identity(2)[bits], abs=1e-10)
 
     def test_unitary_equals_conjugation(self, gate_set):
         circuit = Circuit(2, ((find_gate(gate_set, "h_a"), (0, 1)),
                               (find_gate(gate_set, "cnot"), (0, 1))))
         u = circuit_unitary(circuit)
-        eff = list(iter_simple_effects(2))[3]
-        q = pullback_effect(circuit, eff)
-        assert np.allclose(q.matrix, u.conj().T @ eff.matrix() @ u, atol=1e-12)
+        q = pullback_effect(circuit, 3)
+        assert np.allclose(q.matrix, u.conj().T @ simple_projector(2, 3) @ u, atol=1e-12)
 
 
 class TestEnumeration:
     def test_r0_is_simple_effects(self, gate_set):
         effs = list(enumerate_effects(gate_set, 0, 2))
         assert len(effs) == 4
-        expect = {np.round(e.matrix(), 10).tobytes() for e in iter_simple_effects(2)}
+        expect = {np.round(simple_projector(2, bits), 10).tobytes() for bits in range(4)}
         got = {np.round(e.matrix, 10).tobytes() for e in effs}
         assert got == expect
 
@@ -710,13 +718,14 @@ class TestMaskMachinery:
         assert mm[0].sum() == 4
 
     def test_simple_effect_trace(self):
-        effs = list(iter_simple_effects(2))
-        assert sorted(e.trace for e in effs) == [1.0, 2.0, 2.0, 4.0]
+        assert mask_traces_identity(2).tolist() == [4.0, 2.0, 2.0, 1.0]
+        for n in (1, 2, 3):
+            for bits in range(2 ** n):
+                assert np.array_equal(np.diag(mask_matrix(n)[bits]), simple_projector(n, bits))
 
     def test_simple_effects_closed_under_identity_tensor(self):
-        from cxtherm.gates import SimpleEffect
-
-        for eff in iter_simple_effects(2):
-            extended = SimpleEffect(eff.mask + (False,))
-            assert np.allclose(extended.matrix(), np.kron(eff.matrix(), np.eye(2)))
-            assert extended.trace == eff.trace * 2
+        # an unmasked qubit appended after the last one shifts the bits left
+        for bits in range(4):
+            extended = bits << 1
+            assert np.array_equal(mask_matrix(3)[extended], np.kron(mask_matrix(2)[bits], [1.0, 1.0]))
+            assert mask_traces_identity(3)[extended] == mask_traces_identity(2)[bits] * 2

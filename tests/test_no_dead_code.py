@@ -7,7 +7,8 @@ definition; a non-dunder method counts as used when some file reads it as
 finds the uses.  The package also keeps one local gate contraction: no
 module mentions `tensordot`, only `gates.py` holds the kernel's `_layout`
 and its block bound `BLOCK_ENTRIES`, and no gate is embedded in the full
-register.
+register.  Rows of M_r have one form, defined in `search.py` alone, and the
+solvers' slacks on tr(Q rho) >= eta are named once, in `cxentropy.py`.
 """
 
 import ast
@@ -112,3 +113,19 @@ def test_no_gate_embedding():
         "cxentropy.py", "experiments.py", "gates.py",
     ]
     assert texts["gates.py"].count("expand_operator") == 1
+
+
+def test_one_row_form():
+    # rows are Re Q + Im Q, packed and unpacked in search.py alone
+    texts = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert [name for name, text in texts.items() if "triu_indices" in text] == []
+    definers = {name: re.findall(r"^def (pack|unpack)\b", text, re.M) for name, text in texts.items()}
+    assert {name: sorted(found) for name, found in definers.items() if found} == {
+        "search.py": ["pack", "unpack"],
+    }
+
+
+def test_one_slack_per_name():
+    # FEASIBILITY_SLACK and WITNESS_SLACK in cxentropy.py name every slack on eta
+    users = sorted(p.name for p in PACKAGE.glob("*.py") if "eta - 1e-1" in p.read_text())
+    assert set(users) <= {"cxentropy.py"}

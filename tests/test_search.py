@@ -44,10 +44,18 @@ from cxtherm.search import (
     effect_set,
     enumerate_effects,
     minimize_over_effects,
+    pack,
+    unpack,
 )
 from cxtherm.thermo import ThermalModel, compression_search, erasure_search, gibbs_preserving_gate_set
 
-from oracles import dense_pullback, dfs_enumerate_effects, embedded_kraus, first_occurrence_chain
+from oracles import (
+    dense_pullback,
+    dfs_enumerate_effects,
+    embedded_kraus,
+    first_occurrence_chain,
+    simple_projector,
+)
 
 TOL = 1e-12
 SLACK = 1e-12  # the solvers' feasibility slack on tr(Q rho) >= eta
@@ -72,7 +80,7 @@ def keys(effects, with_mask):
     out = set()
     for e in effects:
         key = (np.round(e.matrix, 10) + 0.0).tobytes()
-        out.add((key, e.provenance[1].mask) if with_mask else key)
+        out.add((key, e.provenance[1]) if with_mask else key)
     return out
 
 
@@ -84,6 +92,46 @@ def oracle_pairs(gate_set, n, r):
 
 def tr(a, b):
     return float(np.trace(a @ b).real)
+
+
+def hermitian_stack(count, d, seed):
+    rng = task_rng(seed)
+    z = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+    return z + np.swapaxes(z.conj(), -1, -2)
+
+
+ROW_DIMS = [1, 2, 4, 8, 16, 32]
+
+
+@pytest.mark.parametrize("d", ROW_DIMS)
+def test_row_products_are_traces(d):
+    a, b = hermitian_stack(6, d, d), hermitian_stack(5, d, 100 + d)
+    want = np.einsum("aij,bji->ab", a, b).real
+    bound = 1e-14 * np.outer(np.linalg.norm(a, axis=(1, 2)), np.linalg.norm(b, axis=(1, 2)))
+    assert np.all(np.abs(pack(a) @ pack(b).T - want) <= bound)
+
+
+@pytest.mark.parametrize("d", ROW_DIMS)
+def test_rows_unpack_to_their_matrices(d):
+    for scale in (1e-8, 1.0, 1e8):
+        a = scale * hermitian_stack(4, d, 200 + d)
+        back = unpack(pack(a), d)
+        assert back.shape == a.shape and back.dtype == complex
+        assert np.all(np.abs(back - a) <= 4 * np.spacing(np.abs(a)))
+
+
+def test_a_real_diagonal_packs_to_its_entries():
+    v = task_rng(3).normal(size=(3, 8))
+    diag = np.zeros((3, 8, 8), dtype=complex)
+    diag[:, np.arange(8), np.arange(8)] = v
+    assert np.array_equal(pack(diag), np.stack([np.diag(x) for x in v]).reshape(3, 64))
+    assert np.array_equal(unpack(pack(diag), 8), diag)
+
+
+def test_empty_stacks_round_trip():
+    for d in (1, 4):
+        assert pack(np.zeros((0, d, d), dtype=complex)).shape == (0, d * d)
+        assert unpack(np.zeros((0, d * d)), d).shape == (0, d, d)
 
 
 @pytest.mark.parametrize(
@@ -131,9 +179,9 @@ def test_growth_equals_first_occurrence_dedup(n, levels, family, connectivity):
 def test_provenance_reaches_each_effect():
     for gate_set, n in ((DEFAULT, 3), (GIBBS, 2)):
         for eff in enumerate_effects(gate_set, 2, n):
-            circuit, simple = eff.provenance
+            circuit, bits = eff.provenance
             assert circuit.complexity <= 2
-            q = simple.matrix()
+            q = simple_projector(circuit.n, bits)
             for gate, edge in reversed(circuit.ops):
                 q = dense_pullback(embedded_kraus(gate, edge, circuit.n), q)
             assert np.allclose(q, eff.matrix, atol=1e-12)
@@ -182,7 +230,9 @@ def test_channel_set_solvers_equal_the_oracle_scan(r):
     # under a product Hamiltonian the RESET work differs between masks
     n = 2
     pairs = oracle_pairs(GIBBS, n, r)
-    work = [sum(PRODUCT_MODEL.reset_work(i) for i in range(n) if not simple.mask[i]) for _, simple in pairs]
+    # qubit i is masked by bit n-1-i, and every unmasked qubit is RESET
+    work = [sum(PRODUCT_MODEL.reset_work(i) for i in range(n) if not (bits >> (n - 1 - i)) & 1)
+            for _, bits in pairs]
     gamma = PRODUCT_MODEL.gamma_full()
     for seed in range(3):
         rho = rand_state(n, 700 + 10 * r + seed, rank=1 + seed)
