@@ -250,8 +250,9 @@ def continuity_trial(
         if gate_source == "haar":
             u4 = haar_unitary(4, rng)
         elif gate_source == "near_identity":
-            h = rng.normal(scale=0.02, size=(4, 4)) + 1j * rng.normal(scale=0.02, size=(4, 4))
-            u4 = _exp_minus_i(0.5 * (h + h.conj().T))
+            # the Hermitian generator h + h^dag, entries of h at scale 0.01
+            h = rng.normal(scale=0.01, size=(4, 4)) + 1j * rng.normal(scale=0.01, size=(4, 4))
+            u4 = _exp_minus_i(h + h.conj().T)
         else:
             raise ValueError(f"unknown gate source {gate_source!r}")
         evolved = apply_circuit(Circuit(n, ((unitary_gate("u", u4), (pos, pos + 1)),)), rho)

@@ -419,7 +419,7 @@ def apply_circuit(circuit: Circuit, rho: DensityOperator) -> DensityOperator:
     sigma = rho.matrix
     for gate, edge in circuit.ops:
         sigma = apply_local(gate, edge, sigma)
-    return DensityOperator._derived(rho.register, sigma)
+    return DensityOperator._derived(rho.register, sigma, owned=sigma is not rho.matrix)
 
 
 @lru_cache(maxsize=16)

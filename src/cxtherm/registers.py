@@ -3,10 +3,20 @@
 Conventions: qubit 0 is the first label and the most significant bit of a
 basis index, matching ``np.kron`` composition order.  All matrices are dense
 complex128.  Entropic quantities elsewhere are in nats.
+
+An operator stores (conj(m^T) + m) * 0.5 of the matrix m it is given.  A
+matrix the package owns, one a package routine made and nothing else holds,
+is averaged in place: the outer product in `state_from_vector`, the
+identity in `maximally_mixed`, a Kronecker product (`tensor`, the inputs
+`thermo` extends with ancillas), a partial trace, and what
+`gates.apply_circuit` and `thermo.run_protocol` made once a gate, RESET or
+EXTRACT has written a new matrix.  Any other matrix, such as the argument
+of a public constructor, is never written.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -15,6 +25,12 @@ import numpy as np
 from .errors import RegisterMismatchError
 
 HERMITIAN_TOL = 1e-10
+# _hermitize averages a matrix of up to HERMITIZE_WHOLE rows against one
+# full adjoint, a larger one a mirrored pair of HERMITIZE_TILE-square tiles
+# at a time: below the first, the tiles' per-call cost outweighs the buffer
+# they save; the second makes a pair and its adjoints fit in a core's cache
+HERMITIZE_WHOLE = 256
+HERMITIZE_TILE = 64
 EIGENVALUE_FLOOR = -1e-10
 # excursions smaller than this are left in place: clamping rebuilds the
 # matrix, which is not bit-stable and would break exact round trips
@@ -55,31 +71,78 @@ def register(n: int) -> QubitRegister:
     return QubitRegister(tuple(f"{LABEL_PREFIX}{i}" for i in range(n)))
 
 
-def _hermitize(matrix: np.ndarray) -> np.ndarray:
+def _hermitize(matrix: np.ndarray, owned: bool = False) -> np.ndarray:
+    """(conj(m^T) + m) * 0.5 of a finite m that is Hermitian to HERMITIAN_TOL
+    in the row-sum norm.  An owned m is overwritten.  Any other gets one new
+    buffer and is never written: up to HERMITIZE_WHOLE rows the average goes
+    into the adjoint, above that into a copy of m."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError("operator matrix must be square and non-empty")
-    # one d x d buffer: the result is built in place, the norms a row block at a time
-    out = np.empty_like(m, order="C")
-    np.conjugate(m.T, out=out)
-    dev = scale = 0.0
-    step = max(1, 2 ** 14 // m.shape[0])
-    for a in range(0, m.shape[0], step):
-        # a row sum of |m| is finite iff the row is; max() would drop a NaN
-        block = np.abs(m[a : a + step]).sum(axis=1).max()
-        if not np.isfinite(block):
-            raise ValueError("operator matrix has non-finite entries")
-        dev = max(dev, np.abs(m[a : a + step] - out[a : a + step]).sum(axis=1).max())
-        scale = max(scale, block)
+    if m.shape[0] <= HERMITIZE_WHOLE:
+        # one full adjoint, the row sums a block of rows at a time
+        adj = np.conjugate(m.T, order="C")
+        dev = scale = 0.0
+        step = max(1, 2 ** 14 // m.shape[0])
+        for a in range(0, m.shape[0], step):
+            # max() would drop a NaN, so each block is looked at first
+            block = np.abs(m[a : a + step]).sum(axis=1).max()
+            if not math.isfinite(block):
+                scale = block
+                break
+            scale = max(scale, block)
+            dev = max(dev, np.abs(m[a : a + step] - adj[a : a + step]).sum(axis=1).max())
+        else:
+            if not (owned and m.flags.c_contiguous):
+                m, adj = adj, m  # the new, C-ordered adjoint is the one copy
+            m += adj
+            m *= 0.5
+    else:
+        if not m.flags.c_contiguous or not owned and np.may_share_memory(m, matrix):
+            m = np.array(m, order="C")  # every stored matrix is C-ordered
+        # an infinite entry makes NaNs on the way; the checks below reject them
+        with np.errstate(invalid="ignore"):
+            scale, dev = _hermitize_tiles(m)
+    # a row sum of |m| is finite iff the row is
+    if not math.isfinite(scale):
+        raise ValueError("operator matrix has non-finite entries")
     if dev > HERMITIAN_TOL * max(scale, 1.0):
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3g})")
-    out += m
-    out *= 0.5
-    return out
+    return m
 
 
-def _fitted(reg: QubitRegister, matrix: np.ndarray) -> np.ndarray:
-    m = _hermitize(matrix)
+def _hermitize_tiles(m: np.ndarray) -> tuple[float, float]:
+    """Overwrite m with (conj(m^T) + m) * 0.5 a mirrored pair of tiles at a
+    time; return the largest row sums of |m| and of |m - conj(m^T)| as they
+    were, each accumulated over its tiles."""
+    d = m.shape[0]
+    sums = np.zeros((2, d))
+    for a in range(0, d, HERMITIZE_TILE):
+        rows = slice(a, a + HERMITIZE_TILE)
+        for b in range(a, d, HERMITIZE_TILE):
+            cols = slice(b, b + HERMITIZE_TILE)
+            upper, lower = m[rows, cols], m[cols, rows]
+            # contiguous copies: each sum is formed in one and copied back
+            # once, faster than two passes over a strided tile
+            upper_adj = np.conjugate(upper.T, order="C")
+            lower_adj = upper_adj if a == b else np.conjugate(lower.T, order="C")
+            dev = np.abs(upper - lower_adj)
+            sums[0, rows] += np.abs(upper).sum(axis=1)
+            sums[1, rows] += dev.sum(axis=1)
+            if a != b:
+                sums[0, cols] += np.abs(lower).sum(axis=1)
+                sums[1, cols] += dev.sum(axis=0)  # |conj z| = |z|, bit for bit
+                upper_adj += lower
+                upper_adj *= 0.5
+                lower[...] = upper_adj
+            lower_adj += upper
+            lower_adj *= 0.5
+            upper[...] = lower_adj
+    return tuple(sums.max(axis=1))
+
+
+def _fitted(reg: QubitRegister, matrix: np.ndarray, owned: bool = False) -> np.ndarray:
+    m = _hermitize(matrix, owned)
     if m.shape[0] != reg.dim:
         raise ValueError("matrix dimension does not match register")
     return m
@@ -132,14 +195,17 @@ class DensityOperator(HermitianOperator):
             object.__setattr__(self, "matrix", _clamp_spectrum(self.matrix, 0.0, None))
 
     @classmethod
-    def _derived(cls, reg: QubitRegister, matrix: np.ndarray) -> "DensityOperator":
+    def _derived(
+        cls, reg: QubitRegister, matrix: np.ndarray, owned: bool = False
+    ) -> "DensityOperator":
         """A state the package built from checked states by a map that keeps
         states valid (a CPTP gate, RESET, a partial trace, a tensor product).
         The matrix is hermitized exactly as the public constructor stores it,
-        but its spectrum and trace are not re-checked: the inputs were."""
+        in place if `owned`, but its spectrum and trace are not re-checked:
+        the inputs were."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "register", reg)
-        object.__setattr__(rho, "matrix", _fitted(reg, matrix))
+        object.__setattr__(rho, "matrix", _fitted(reg, matrix, owned))
         return rho
 
 
@@ -176,8 +242,9 @@ def tensor(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
         raise RegisterMismatchError("tensor factors share labels")
     reg = QubitRegister(a.register.labels + b.register.labels)
     cls = _result_type(a, b)
-    build = DensityOperator._derived if cls is DensityOperator else cls
-    return build(reg, np.kron(a.matrix, b.matrix))
+    if cls is DensityOperator:
+        return DensityOperator._derived(reg, np.kron(a.matrix, b.matrix), owned=True)
+    return cls(reg, np.kron(a.matrix, b.matrix))
 
 
 def partial_trace(op: HermitianOperator, keep: Iterable[str]) -> HermitianOperator:
@@ -191,7 +258,7 @@ def partial_trace(op: HermitianOperator, keep: Iterable[str]) -> HermitianOperat
     reduced = partial_trace_matrix(op.matrix, op.n, kept_idx)
     reg = QubitRegister(tuple(op.register.labels[i] for i in kept_idx))
     if isinstance(op, DensityOperator):
-        return DensityOperator._derived(reg, reduced)
+        return DensityOperator._derived(reg, reduced, owned=True)
     return HermitianOperator(reg, reduced)
 
 
@@ -271,7 +338,7 @@ def state_from_vector(vec: np.ndarray, reg: QubitRegister | None = None) -> Dens
     n = int(round(np.log2(v.size)))
     if 2 ** n != v.size:
         raise ValueError("vector length is not a power of two")
-    return DensityOperator._derived(reg or register(n), np.outer(v, v.conj()))
+    return DensityOperator._derived(reg or register(n), np.outer(v, v.conj()), owned=True)
 
 
 def zero_state(n: int) -> DensityOperator:
@@ -293,5 +360,8 @@ def ghz_state(n: int) -> DensityOperator:
 
 
 def maximally_mixed(n: int) -> DensityOperator:
+    """I / 2^n, valid by construction, so it needs no eigensolver."""
     d = 2 ** n
-    return DensityOperator(register(n), np.eye(d) / d)
+    m = np.eye(d, dtype=complex)
+    m /= d
+    return DensityOperator._derived(register(n), m, owned=True)

@@ -6,19 +6,22 @@ concern.  A RESET of qubit i costs log Z_i, an EXTRACT refunds it, and each
 non-identity gate costs one unit of complexity and no work.
 
 `run_protocol` applies a gate step with the local kernel, which holds the
-previous matrix and its output; RESET and EXTRACT overwrite a matrix the
-protocol owns in place, with a quarter-size partial trace as the only
-temporary.  With the caller's matrix, a gate step thus peaks at three
-2^n x 2^n matrices plus 1 MiB blocks, and a RESET at two and a quarter
-(768 MiB and 576 MiB at n = 12, where one matrix is 256 MiB); the
-hermitized result, built last, is the third matrix of a protocol that ends
-in RESETs.
+previous matrix and its output.  A run of RESETs, or an EXTRACT, overwrites
+a matrix the protocol owns in one pass, after tracing its qubits out into a
+quarter-size buffer and then smaller ones; the result is hermitized in
+place, above 256 rows a pair of tiles at a time.  With the caller's matrix,
+a gate step thus peaks at three 2^n x 2^n matrices plus 1 MiB blocks, and a
+run of RESETs at two and five sixteenths, while its second trace is made
+beside the first (768 MiB and 592 MiB at n = 12, where one matrix is
+256 MiB).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -122,35 +125,65 @@ class CostLedger:
 EXTRACT_FIDELITY_TOL = 1e-9
 
 
-def _replace_qubit(sigma: np.ndarray, n: int, i: int, local: np.ndarray) -> None:
-    """Overwrite sigma, a C-contiguous 2^n x 2^n matrix, with local (x)
-    tr_i(sigma), the local factor back on qubit i, through its (2^i, 2,
-    2^(n-1-i)) x 2 block view: a quarter-size partial trace, then one
-    broadcast product written over the view."""
-    v = sigma.reshape((2 ** i, 2, 2 ** (n - 1 - i)) * 2)
-    # summed from +0.0 as np.trace does: -0.0 + -0.0 alone would keep the sign
-    reduced = 0.0 + v[:, 0, :, :, 0, :]
-    reduced += v[:, 1, :, :, 1, :]
-    np.multiply(local.reshape(1, 2, 1, 1, 2, 1), reduced[:, None, :, :, None, :], out=v)
+def _replace_qubits(sigma: np.ndarray, n: int, qubits: Sequence[int], local: np.ndarray) -> None:
+    """Overwrite sigma, a C-contiguous 2^n x 2^n matrix, with what replacing
+    the qubits one at a time in this order leaves: local on the last,
+    |0><0| on the others, (x) the partial trace over all of them.
+
+    The qubits are traced out in order, a repeated one once, the first
+    trace into a quarter-size buffer and each later one into a quarter of
+    the last.  Then sigma is written once: local (x) the trace where the
+    other qubits are in |0><0|, and +0.0 elsewhere, which is also what one
+    replacement at a time leaves there: a trace sums from +0.0."""
+    traced = list(dict.fromkeys(qubits))
+    reduced, left = sigma, list(range(n))
+    for q in traced:
+        i, k = left.index(q), len(left)
+        v = reduced.reshape((2 ** i, 2, 2 ** (k - 1 - i)) * 2)
+        # summed from +0.0 as np.trace does: -0.0 + -0.0 alone would keep the sign
+        reduced = 0.0 + v[:, 0, :, :, 0, :]
+        reduced += v[:, 1, :, :, 1, :]
+        left.remove(q)
+    last, others = qubits[-1], set(traced) - {qubits[-1]}
+    if others:
+        sigma.fill(0.0)
+    at = tuple(0 if ax % n in others else slice(None) for ax in range(2 * n))
+    block = sigma.reshape((2,) * (2 * n))[at]
+    # the block's axes are the qubits left and the last, in register order
+    j = sum(q < last for q in left)
+    shape = (2,) * j + (1,) + (2,) * (len(left) - j)
+    spot = (1,) * j + (2,) + (1,) * (len(left) - j)
+    np.multiply(local.reshape(spot * 2), reduced.reshape(shape * 2), out=block)
+
+
+def _runs(steps: Sequence[Step]):
+    """The steps in order, a maximal run of RESETs as one tuple, any other
+    step alone."""
+    for is_reset, group in itertools.groupby(steps, lambda s: isinstance(s, Reset)):
+        yield from [tuple(group)] if is_reset else ((s,) for s in group)
 
 
 def run_protocol(
     protocol: Protocol, rho: DensityOperator, model: ThermalModel
 ) -> tuple[DensityOperator, CostLedger]:
-    """Apply the steps in order.  A gate step makes a new matrix; RESET and
-    EXTRACT overwrite a matrix the protocol owns, copied from rho's on the
-    first of them that comes before any gate, so rho is never written."""
+    """Apply the steps in order.  A gate step makes a new matrix; a run of
+    RESETs and an EXTRACT overwrite a matrix the protocol owns, copied from
+    rho's on the first of them that comes before any gate, so rho is never
+    written.  A run of RESETs is one replacement, but each RESET adds its
+    work, in step order."""
     if protocol.n != rho.register.n or model.n != protocol.n:
         raise ProtocolError("protocol, state, and model sizes disagree")
     sigma = rho.matrix
     complexity = 0
     beta_work = 0.0
     ket0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    for step in protocol.steps:
+    for run in _runs(protocol.steps):
+        step = run[0]
         if isinstance(step, (Reset, Extract)):
-            if not 0 <= step.qubit < protocol.n:
-                raise ProtocolError(f"{step!r} acts outside the {protocol.n}-qubit register")
-            local, work = ket0, model.reset_work(step.qubit)
+            for s in run:
+                if not 0 <= s.qubit < protocol.n:
+                    raise ProtocolError(f"{s!r} acts outside the {protocol.n}-qubit register")
+            local, sign = ket0, 1.0
             if isinstance(step, Extract):
                 reduced = partial_trace_matrix(sigma, protocol.n, [step.qubit])
                 ground = float(reduced[0, 0].real) / max(float(np.trace(reduced).real), 1e-300)
@@ -158,18 +191,20 @@ def run_protocol(
                     raise ProtocolError(
                         f"EXTRACT on qubit {step.qubit}: population in |0> is {ground:.12g}"
                     )
-                local, work = model.thermal_qubit(step.qubit), -work
+                local, sign = model.thermal_qubit(step.qubit), -1.0
             if sigma is rho.matrix:
-                sigma = sigma.copy()  # C-ordered, so the block view is a view
-            _replace_qubit(sigma, protocol.n, step.qubit, local)
-            beta_work += work
+                sigma = sigma.copy()  # C-ordered, so the block views are views
+            _replace_qubits(sigma, protocol.n, [s.qubit for s in run], local)
+            for s in run:
+                beta_work += sign * model.reset_work(s.qubit)
         elif isinstance(step, GateStep):
             sigma = apply_local(step.gate, step.edge, sigma)
             if not step.gate.is_identity:
                 complexity += 1
         else:
             raise ProtocolError(f"unknown protocol step {step!r}")
-    return DensityOperator._derived(rho.register, sigma), CostLedger(complexity, beta_work)
+    final = DensityOperator._derived(rho.register, sigma, owned=sigma is not rho.matrix)
+    return final, CostLedger(complexity, beta_work)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +407,7 @@ def lifted_input(rho: DensityOperator, lift: LiftedProtocol) -> DensityOperator:
     ket0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     for _ in range(lift.m1 + lift.m2):
         sigma = np.kron(sigma, ket0)
-    return DensityOperator._derived(register(lift.protocol.n), sigma)
+    return DensityOperator._derived(register(lift.protocol.n), sigma, owned=sigma is not rho.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +443,8 @@ def g_lower_bound(
                 sigma = np.kron(sigma, ket0)
             for _ in range(m2):
                 sigma = np.kron(sigma, np.eye(2, dtype=complex) / 2.0)
-            tilde = DensityOperator._derived(register(rho.n + m1 + m2), sigma)
+            owned = sigma is not rho.matrix
+            tilde = DensityOperator._derived(register(rho.n + m1 + m2), sigma, owned=owned)
             est = cx_entropy(tilde, gate_set, r + m1 + m2, eta, threads=threads)
             candidate = est.value - m2 * LOG2
             if candidate < best[0]:

@@ -18,6 +18,7 @@ from cxtherm.registers import (
     DensityOperator,
     QubitRegister,
     ghz_state,
+    maximally_mixed,
     ones_state,
     partial_trace,
     register,
@@ -151,6 +152,16 @@ def test_derived_sites_run_no_eigensolver(monkeypatch):
     partial_trace(rho, ["q0", "q2"])
     tensor(rho, b)
     state_from_vector(vec)
+    maximally_mixed(n)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_maximally_mixed_is_the_checked_matrix(n):
+    # built without the eigensolver, it stores what the public constructor
+    # stores; n = 9 takes the tiled hermitize
+    d = 2 ** n
+    checked = DensityOperator(register(n), np.eye(d) / d)
+    assert maximally_mixed(n).matrix.tobytes() == checked.matrix.tobytes()
 
 
 @pytest.mark.parametrize("vec", [np.zeros(4), np.array([np.nan, 1.0, 0.0, 0.0]), np.full(2, np.inf)])

@@ -129,3 +129,64 @@ def test_one_slack_per_name():
     # FEASIBILITY_SLACK and WITNESS_SLACK in cxentropy.py name every slack on eta
     users = sorted(p.name for p in PACKAGE.glob("*.py") if "eta - 1e-1" in p.read_text())
     assert set(users) <= {"cxentropy.py"}
+
+
+def is_adjoint(node) -> bool:
+    """x.conj().T, x.T.conj() or np.conjugate(x.T), conjugate spelled either way."""
+    conj = ("conj", "conjugate")
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        return isinstance(node.value, ast.Call) and getattr(node.value.func, "attr", None) in conj
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in conj):
+        return False
+    target = node.args[0] if node.args else node.func.value
+    return isinstance(target, ast.Attribute) and target.attr == "T"
+
+
+def halves(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value == 0.5
+
+
+def averaging_functions(tree, module):
+    """Functions that halve an expression holding an adjoint, or that hold an
+    adjoint and halve something in place."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(fn))
+        has_adjoint = any(is_adjoint(n) for n in nodes)
+        for n in nodes:
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult) and (halves(n.left) or halves(n.right)):
+                other = n.right if halves(n.left) else n.left
+                if any(is_adjoint(m) for m in ast.walk(other)):
+                    found.add(f"{module}.{fn.name}")
+            if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Mult) and halves(n.value) and has_adjoint:
+                found.add(f"{module}.{fn.name}")
+    return found
+
+
+def test_one_hermitize():
+    # the stored form of every operator is (conj(m^T) + m) * 0.5 from one
+    # routine; a second copy of the average would drift from its checks
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= averaging_functions(ast.parse(path.read_text()), path.stem)
+    assert found == {"registers._hermitize", "registers._hermitize_tiles"}
+    probe = ast.parse("def f(m):\n    return 0.5 * (m + np.conjugate(m.T))\n"
+                      "def g(m):\n    a = m.T.conj()\n    a += m\n    a *= 0.5\n")
+    assert averaging_functions(probe, "probe") == {"probe.f", "probe.g"}
+
+
+def test_one_reset_write():
+    # RESET runs and EXTRACT share one in-place write and one call site
+    tree = ast.parse((PACKAGE / "thermo.py").read_text())
+    writers = sorted(
+        fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and any(
+            (isinstance(n, ast.keyword) and n.arg == "out")
+            or (isinstance(n, ast.Attribute) and n.attr == "fill")
+            for n in ast.walk(fn)
+        )
+    )
+    assert writers == ["_replace_qubits"]
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_replace_qubits"]
+    assert len(calls) == 1

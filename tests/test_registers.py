@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cxtherm.errors import RegisterMismatchError
+from cxtherm import registers as registers_module
+from cxtherm.gates import Circuit, apply_circuit
 from cxtherm.registers import (
+    HERMITIAN_TOL,
+    HERMITIZE_WHOLE,
     DensityOperator,
     HermitianOperator,
     PovmEffect,
@@ -20,9 +24,11 @@ from cxtherm.registers import (
     partial_trace,
     register,
     state_distance,
+    state_from_vector,
     tensor,
     trace_distance,
     zero_state,
+    _hermitize,
 )
 from cxtherm.sampling import haar_state_vector, random_density_matrix, task_rng
 
@@ -266,3 +272,121 @@ class TestHermitize:
             tracemalloc.stop()
         assert op.matrix.nbytes == m.nbytes
         assert peak <= 1.25 * m.nbytes, peak / m.nbytes
+
+    @staticmethod
+    def near_hermitian_d(d, seed):
+        """A d x d matrix 1e-13 off Hermitian, with signed zeros at mirrored
+        places in both parts and a real-only row and column."""
+        rng = task_rng(seed)
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = m + m.conj().T + 1e-13 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        for part in (m.real, m.imag):
+            hit = rng.random(m.shape) < 0.1
+            hit |= hit.T
+            part[hit] = np.copysign(0.0, rng.choice([-1.0, 1.0], size=hit.sum()))
+        m.imag[d // 2] = m.imag[:, d // 2] = 0.0
+        return m
+
+    @pytest.fixture(params=["whole", "tiles"])
+    def route(self, request, monkeypatch):
+        """Send every size through one full adjoint or through tile pairs."""
+        if request.param == "tiles":
+            monkeypatch.setattr(registers_module, "HERMITIZE_WHOLE", 0)
+        else:
+            monkeypatch.setattr(registers_module, "HERMITIZE_WHOLE", 2 ** 12)
+        return request.param
+
+    @pytest.mark.parametrize("d", [1, 3, 16, 200, 1024])
+    def test_result_equals_the_formula_bytewise(self, route, d):
+        # 200 is no multiple of the tile, 1024 takes many tile pairs
+        m = self.near_hermitian_d(d, d)
+        for mat in (m, m.T):
+            expect = np.ascontiguousarray((np.conjugate(mat.T) + mat) * 0.5).tobytes()
+            before = mat.tobytes()
+            assert _hermitize(mat).tobytes() == expect
+            assert mat.tobytes() == before
+            owned = np.array(mat, order="C")
+            got = _hermitize(owned, owned=True)
+            assert got is owned and got.tobytes() == expect
+
+    @pytest.mark.parametrize("d", [3, 200, 1024])
+    def test_checks_keep_their_messages_and_thresholds(self, route, d):
+        # rows of |m| sum to 0.5, so the bound is HERMITIAN_TOL itself; each
+        # spot lies in a different tile pair at d = 1024
+        base = np.eye(d, dtype=complex) * 0.5
+        for i, j in ((0, d - 1), (d - 1, 0), (d // 2, 0), (d - 1, d - 2)):
+            for eps in (0.9e-10, 1.1e-10):
+                m = base.copy()
+                m[i, j] += eps
+                if eps < 1e-10:
+                    _hermitize(m)
+                    continue
+                with pytest.raises(ValueError, match=re.escape("not Hermitian (deviation 1.1e-10)")):
+                    _hermitize(m)
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+                m = base.copy()
+                m[i, j] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    _hermitize(m)
+                with pytest.raises(ValueError, match="non-finite"):
+                    _hermitize(m, owned=True)
+
+    @pytest.mark.parametrize("d", [3, 200, 1024])
+    def test_bound_scales_with_the_largest_row_sum(self, route, d):
+        # the last row of |m| sums to about 2 d, almost all of it left of
+        # the diagonal tile, so a row sum that missed a tile would set a
+        # bound below the deviation
+        m = np.eye(d, dtype=complex) * 0.5
+        m[-1, :-1] = m[:-1, -1] = 2.0
+        scale = np.abs(m).sum(axis=1).max()
+        for factor, fails in ((0.9, False), (1.1, True)):
+            bad = m.copy()
+            bad[0, 1] += factor * HERMITIAN_TOL * scale
+            if not fails:
+                _hermitize(bad)
+                continue
+            with pytest.raises(ValueError, match="not Hermitian"):
+                _hermitize(bad)
+
+    @pytest.mark.parametrize("d", [3, 200, 1024])
+    def test_deviation_sums_the_whole_row(self, route, d):
+        # the last row deviates at every column left of the diagonal, most
+        # of them in tiles below the diagonal
+        m = np.eye(d, dtype=complex) * 0.5
+        m[-1, :-1] += 1e-9
+        dev = np.abs(m - m.conj().T).sum(axis=1).max()
+        with pytest.raises(ValueError, match=re.escape(f"not Hermitian (deviation {dev:.3g})")):
+            _hermitize(m)
+
+    @pytest.mark.parametrize("n", [2, HERMITIZE_WHOLE.bit_length()])
+    def test_caller_matrix_is_never_written(self, n):
+        # one full adjoint and tile pairs; the matrix is a valid state and
+        # effect, 1e-14 off Hermitian, so a write would show in its bytes
+        rng = task_rng(40 + n)
+        d = 2 ** n
+        m = 0.5 * random_density_matrix(d, 2, rng) + 1e-14 * rng.normal(size=(d, d))
+        before = m.tobytes()
+        for build in (HermitianOperator, DensityOperator, PovmEffect, DensityOperator._derived):
+            op = build(register(n), m)
+            assert m.tobytes() == before
+            assert not np.shares_memory(op.matrix, m)
+        rho = DensityOperator(register(n), m)
+        kept = rho.matrix.tobytes()
+        out = apply_circuit(Circuit(n, ()), rho)
+        assert rho.matrix.tobytes() == kept
+        assert not np.shares_memory(out.matrix, rho.matrix)
+
+    def test_owned_matrices_are_hermitized_in_place(self):
+        # built at ten qubits, either state peaks at its own matrix and a
+        # few tiles: no copy and no second matrix
+        vec = haar_state_vector(2 ** 10, task_rng(11))
+        nbytes = 16 * 4 ** 10
+        for build in (lambda: state_from_vector(vec), lambda: maximally_mixed(10)):
+            tracemalloc.start()
+            try:
+                rho = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rho.matrix.nbytes == nbytes
+            assert peak <= 1.05 * nbytes, peak / nbytes

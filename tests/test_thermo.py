@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cxtherm.gates import (
     CZ,
     BoundedCache,
     GateSet,
+    apply_local,
     channel_gate,
     edges,
     gibbs_check,
@@ -150,12 +152,104 @@ class TestRunProtocol:
             for i in range(n):
                 for local in (np.diag([1.0, 0.0]).astype(complex), model.thermal_qubit(i)):
                     buffer = sigma.copy()
-                    thermo_module._replace_qubit(buffer, n, i, local)
+                    thermo_module._replace_qubits(buffer, n, [i], local)
                     assert buffer.tobytes() == outer_replace_qubit(sigma, n, i, local).tobytes(), (i, local)
 
+    @staticmethod
+    def reset_runs(n):
+        """Ascending, descending, interleaved and repeated runs of RESETs."""
+        runs = [list(range(n)), list(range(n))[::-1], list(range(0, n, 2)) + list(range(1, n, 2))]
+        if n > 1:
+            runs += [[n - 1, 0, n - 1], [0, 0], [1, 0, 1, 0], list(range(n)) + [0]]
+        return runs
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_reset_run_equals_the_outer_oracle_in_step_order(self, n):
+        # one pass per run must leave what one RESET at a time leaves, value
+        # for value and down to the sign of every zero
+        rng = task_rng(80 + n)
+        ket0 = np.diag([1.0, 0.0]).astype(complex)
+        for sigma in self.signed_zero_states(n, rng):
+            for run in self.reset_runs(n):
+                buffer = sigma.copy()
+                thermo_module._replace_qubits(buffer, n, run, ket0)
+                expect = sigma
+                for i in run:
+                    expect = outer_replace_qubit(expect, n, i, ket0)
+                assert np.array_equal(buffer.view(float), expect.view(float)), run
+                assert buffer.tobytes() == expect.tobytes(), run
+
+    @staticmethod
+    def oracle_protocol(steps, sigma, n, model):
+        """One step at a time: gates by the local kernel, RESET and EXTRACT
+        by the outer-product oracle, then hermitized as the package stores
+        states; the work added in step order."""
+        work = 0.0
+        for s in steps:
+            if isinstance(s, GateStep):
+                sigma = apply_local(s.gate, s.edge, sigma)
+            elif isinstance(s, Reset):
+                sigma = outer_replace_qubit(sigma, n, s.qubit, np.diag([1.0, 0.0]).astype(complex))
+                work += model.reset_work(s.qubit)
+            else:
+                sigma = outer_replace_qubit(sigma, n, s.qubit, model.thermal_qubit(s.qubit))
+                work += -model.reset_work(s.qubit)
+        return np.ascontiguousarray((np.conjugate(sigma.T) + sigma) * 0.5), work
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_protocol_runs_equal_the_oracle(self, n):
+        # runs split by a gate or an EXTRACT, on a state whose qubit 0 starts
+        # in |0>; distinct energies make the order of the work sum matter
+        rng = task_rng(90 + n)
+        model = ThermalModel(tuple(rng.uniform(0.2, 2.0, n)))
+        rest = random_density_matrix(2 ** (n - 1), 2, rng)
+        rho = DensityOperator(register(n), np.kron(np.diag([1.0, 0.0]), rest))
+        top = n - 1
+        cases = [
+            [Reset(q) for q in run] for run in self.reset_runs(n)
+        ] + [
+            [Reset(top), Reset(0), GateStep(CNOT_GATE, (0, top)), Reset(top), Reset(1 % n)],
+            [Extract(0), Reset(top), Reset(1 % n), Extract(top), Reset(0), Reset(top)],
+            [Reset(1 % n), Reset(top), Extract(1 % n), GateStep(CNOT_GATE, (top, 0)), Reset(0), Reset(0)],
+            [GateStep(CNOT_GATE, (0, top)), Reset(top), Reset(top), Reset(1 % n), Reset(top)],
+        ]
+        for steps in cases:
+            out, ledger = run_protocol(Protocol(n, tuple(steps)), rho, model)
+            expect, work = self.oracle_protocol(steps, rho.matrix, n, model)
+            assert np.array_equal(out.matrix.view(float), expect.view(float)), steps
+            assert out.matrix.tobytes() == expect.tobytes(), steps
+            assert ledger.beta_work.hex() == work.hex(), steps
+
+    def test_every_reset_of_a_run_adds_its_work(self):
+        model = ThermalModel((0.3, 1.1, 2.0))
+        steps = (Reset(2), Reset(0), Reset(2), Reset(2), Reset(1))
+        _, ledger = run_protocol(Protocol(3, steps), maximally_mixed(3), model)
+        expect = 0.0
+        for s in steps:
+            expect += model.reset_work(s.qubit)
+        assert ledger.beta_work.hex() == expect.hex()
+
+    def test_reset_run_peaks_at_a_quarter_above_its_copy(self):
+        # the protocol's copy, the traces and the tiles of the in-place
+        # hermitize: no second full matrix
+        n = 9
+        rho = rand_state(n, 5, rank=2)
+        proto = Protocol(n, tuple(Reset(q) for q in range(n)))
+        tracemalloc.start()
+        try:
+            out, _ = run_protocol(proto, rho, ThermalModel.degenerate(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * out.matrix.nbytes, peak / out.matrix.nbytes
+
     @pytest.mark.parametrize("steps, raises", [
+        ((), False),
         ((Reset(1),), False),
+        ((Reset(1), Reset(2)), False),
+        ((Reset(2), Reset(0), Reset(2), Reset(1)), False),
         ((Extract(0), Reset(2)), False),
+        ((Extract(0), Reset(2), Reset(1), Extract(2)), False),
         ((Reset(0), GateStep(CNOT_GATE, (0, 1)), Reset(1), Extract(1)), False),
         ((Extract(1),), True),
         ((Reset(0), Reset(2), Extract(1)), True),
@@ -169,7 +263,8 @@ class TestRunProtocol:
             with pytest.raises(ProtocolError, match="EXTRACT"):
                 run_protocol(Protocol(3, steps), rho, ThermalModel.degenerate(3))
         else:
-            run_protocol(Protocol(3, steps), rho, ThermalModel.degenerate(3))
+            out, _ = run_protocol(Protocol(3, steps), rho, ThermalModel.degenerate(3))
+            assert not np.shares_memory(out.matrix, rho.matrix)
         assert rho.matrix.tobytes() == before
 
     @pytest.mark.parametrize("n", [3, 9])
@@ -178,15 +273,15 @@ class TestRunProtocol:
         # would land in the copy; n = 9 gates take the blocked kernel
         rho = rand_state(n, 8, rank=2)
         seen = []
-        original = thermo_module._replace_qubit
+        original = thermo_module._replace_qubits
 
-        def spy(sigma, n_arg, i, local):
-            view = sigma.reshape((2 ** i, 2, 2 ** (n_arg - 1 - i)) * 2)
+        def spy(sigma, n_arg, qubits, local):
+            view = sigma.reshape((2,) * (2 * n_arg))
             seen.append((sigma.flags.c_contiguous, np.shares_memory(view, sigma),
                          np.shares_memory(sigma, rho.matrix)))
-            original(sigma, n_arg, i, local)
+            original(sigma, n_arg, qubits, local)
 
-        monkeypatch.setattr(thermo_module, "_replace_qubit", spy)
+        monkeypatch.setattr(thermo_module, "_replace_qubits", spy)
         steps = (Reset(n - 1), GateStep(CNOT_GATE, (0, n - 1)), Reset(0), Extract(0),
                  GateStep(CNOT_GATE, (n - 1, 1)), Reset(1))
         out, _ = run_protocol(Protocol(n, steps), rho, ThermalModel.degenerate(n))
