@@ -244,16 +244,16 @@ class TestRunProtocol:
         assert peak <= 1.35 * out.matrix.nbytes, peak / out.matrix.nbytes
 
     @pytest.mark.parametrize("steps, raises", [
-        ((), False),
         ((Reset(1),), False),
-        ((Reset(1), Reset(2)), False),
-        ((Reset(2), Reset(0), Reset(2), Reset(1)), False),
         ((Extract(0), Reset(2)), False),
-        ((Extract(0), Reset(2), Reset(1), Extract(2)), False),
         ((Reset(0), GateStep(CNOT_GATE, (0, 1)), Reset(1), Extract(1)), False),
         ((Extract(1),), True),
         ((Reset(0), Reset(2), Extract(1)), True),
         ((GateStep(CNOT_GATE, (1, 2)), Reset(0), Extract(2)), True),
+        ((), False),
+        ((Reset(1), Reset(2)), False),
+        ((Reset(2), Reset(0), Reset(2), Reset(1)), False),
+        ((Extract(0), Reset(2), Reset(1), Extract(2)), False),
     ])
     def test_caller_matrix_is_never_written(self, steps, raises):
         # qubit 0 starts in |0>, qubits 1 and 2 do not
