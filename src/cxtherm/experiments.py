@@ -468,7 +468,7 @@ def decoupling_simulate(
     alpha = placed_alphabet(gate_set, n_a) if n_a >= 2 else []
     rng = task_rng(seed)
     picks = [alpha[int(rng.integers(len(alpha)))] for _ in range(r0 if alpha else 0)]
-    rho_prime = apply_circuit(Circuit(rho_ar.n, tuple((pg.gate, pg.edge) for pg in picks)), rho_ar)
+    rho_prime = apply_circuit(Circuit(rho_ar.n, tuple((pg.gates[0], pg.edge) for pg in picks)), rho_ar)
 
     keep = labels[k:]  # discard the first k qubits of A
     rho_a2r = partial_trace(rho_prime, keep)

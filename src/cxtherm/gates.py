@@ -7,10 +7,14 @@ the front and multiplies by the gate as one 2^k x 2^k matrix.  An input of
 more than BLOCK_ENTRIES entries is contracted a block at a time into one
 preallocated output, so a gate on a 2^n x 2^n matrix holds the input, the
 output and blocks of 1 MiB, where one product over the whole matrix would
-keep two full temporaries alive (16 MiB each at n = 10).  A `PlacedGate`
-binds a gate to an edge and runs the same kernel, so no gate is ever
-embedded in the full register.  `placed_alphabet` deduplicates placements
-on the gates' own qubits.  Circuit cost counts placed non-identity gates.
+keep two full temporaries alive (16 MiB each at n = 10).  The kernel also
+takes a stack of gate tensors and gives one result per gate, from one
+product with the gates' rows stacked.  A `PlacedGate` binds one or more
+gates to one edge and runs them through the kernel in one call, so no gate
+is ever embedded in the full register.  `placed_alphabet` deduplicates
+placements on the gates' own qubits and holds one-gate `PlacedGate`s;
+`edge_layers` groups its letters by edge into one `PlacedGate` per edge.
+Circuit cost counts placed non-identity gates.
 
 A simple projector |0><0|_S (x) I is named by the int mask bits m of the
 qubit set S: qubit i is in S iff bit n-1-i of m is set, the bit that qubit i
@@ -108,7 +112,7 @@ class Gate:
 
     @cached_property
     def content_key(self) -> tuple[str, bytes]:
-        """Name and matrix bytes, the gate's part of `gate_set_key`."""
+        """Name and matrix bytes, the gate's part of `GateSet.content_key`."""
         mats = (self.unitary,) if self.is_unitary else self.kraus
         return self.name, b"".join(m.tobytes() for m in mats)
 
@@ -147,16 +151,17 @@ class GateSet:
             g.is_unitary for g, _ in self.placed_extra
         )
 
-
-def gate_set_key(gate_set: GateSet) -> tuple:
-    """Content key of a gate set: kind, connectivity, and every gate's name
-    and matrices.  Names count because witness circuits print them."""
-    return (
-        gate_set.kind,
-        gate_set.connectivity,
-        tuple(g.content_key for g in gate_set.gates),
-        tuple((g.content_key, e) for g, e in gate_set.placed_extra),
-    )
+    @cached_property
+    def content_key(self) -> tuple:
+        """Kind, connectivity, and every gate's name and matrices, the key of
+        the caches per gate-set content.  Names count because witness
+        circuits print them."""
+        return (
+            self.kind,
+            self.connectivity,
+            tuple(g.content_key for g in self.gates),
+            tuple((g.content_key, e) for g, e in self.placed_extra),
+        )
 
 
 def edges(connectivity: str, n: int) -> list[tuple[int, int]]:
@@ -226,12 +231,19 @@ def _layout(k: int, n: int, m: int, i: int, j: int) -> tuple[tuple, tuple, tuple
     """For a (2,)*2k tensor on ordered qubits (i, j) of batch items with m
     indices of 2^n: the (2,)*nm view after the batch axis, the input axis
     order that moves the k contracted axes to the front, and the
-    permutation that puts the product's axes back in place."""
+    permutations that put the product's axes back in place, without and
+    with a leading stack axis."""
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"invalid edge ({i}, {j}) on {n} qubits")
     axes = (1 + i, 1 + j, 1 + n + i, 1 + n + j)[:k]
     order = axes + tuple(a for a in range(1 + n * m) if a not in axes)
-    return (2,) * (n * m), order, tuple(np.argsort(order))
+    return (2,) * (n * m), order, _with_stack(np.argsort(order))
+
+
+def _with_stack(perm) -> tuple[tuple, tuple]:
+    """A transpose permutation, and the same one behind a leading stack axis."""
+    perm = tuple(int(p) for p in perm)
+    return perm, (0,) + tuple(p + 1 for p in perm)
 
 
 @lru_cache(maxsize=1024)
@@ -239,7 +251,8 @@ def _blocks(k: int, n: int, m: int, i: int, j: int, limit: int) -> tuple[tuple, 
     """`_layout` for one batch item of more than `limit` entries, a block at
     a time: the leading free axes that are fixed so that a block holds at
     most `limit` entries, the axis order that puts them in front, and a
-    block's input axis order and output permutation."""
+    block's input axis order and output permutation; the first and last,
+    without and with a leading stack axis."""
     _, order, _ = _layout(k, n, m, i, j)
     free, fixed, rest = list(order[k + 1 :]), [], 2 ** (n * m)
     while rest > limit and free:
@@ -247,16 +260,19 @@ def _blocks(k: int, n: int, m: int, i: int, j: int, limit: int) -> tuple[tuple, 
         rest //= 2
     inner = [a for a in range(1, 1 + n * m) if a not in fixed]
     block_order = tuple(inner.index(a) for a in order[:k] + tuple(free))
-    split = tuple(a - 1 for a in fixed + inner)  # an item has no batch axis
-    return (2,) * len(fixed), split, block_order, tuple(np.argsort(block_order))
+    split = _with_stack(a - 1 for a in fixed + inner)  # an item has no batch axis
+    return (2,) * len(fixed), split, block_order, _with_stack(np.argsort(block_order))
 
 
 def _contract(tensor: np.ndarray, edge: tuple[int, int], x: np.ndarray) -> np.ndarray:
     """Contract the trailing half of a (2,)*2k gate tensor with the axes of
     ordered qubits `edge` in each item of x, a batch (leading axis, any length)
     of 2^n statevectors or 2^n x 2^n matrices; its leading half takes their
-    place.  k = 2 acts on a matrix's row index, k = 4 on both indices.  One
-    2^k x 2^k matrix product on x with the contracted axes moved to the front.
+    place.  k = 2 acts on a matrix's row index, k = 4 on both indices.  A
+    stack of L gate tensors on a leading axis gives the L results on a
+    leading axis, (L,) + x.shape, from the same products with the L gates'
+    rows stacked, which leave each gate's bits as they are.  One 2^k x 2^k
+    matrix product on x with the contracted axes moved to the front.
     An x of more than BLOCK_ENTRIES entries goes into one preallocated output
     a block of at most that many entries at a time: a slice of the batch, or
     part of one item with its leading free axes fixed.  A block's columns are
@@ -265,22 +281,27 @@ def _contract(tensor: np.ndarray, edge: tuple[int, int], x: np.ndarray) -> np.nd
     n = x.shape[-1].bit_length() - 1
     if x.size <= BLOCK_ENTRIES:
         return _product(tensor, edge, x, k, n)
-    out = np.empty(x.shape, np.result_type(tensor, x))
+    stack = tensor.shape[: tensor.ndim % 2]
+    out = np.empty(stack + x.shape, np.result_type(tensor, x))
+    lead = (slice(None),) * len(stack)
     if x[0].size <= BLOCK_ENTRIES:
         # a lone one-column item joins the slice before it: alone, numpy
         # would take it as a matrix-vector product, which rounds differently
         step, lone = BLOCK_ENTRIES // x[0].size, x[0].size == 2 ** k
         starts = range(0, len(x) - lone, step)
         for a, b in zip(starts, [*starts[1:], len(x)]):
-            out[a:b] = _product(tensor, edge, x[a:b], k, n)
+            out[lead + (slice(a, b),)] = _product(tensor, edge, x[a:b], k, n)
         return out
     fixed, split, order, perm = _blocks(k, n, x.ndim - 1, int(edge[0]), int(edge[1]), BLOCK_ENTRIES)
-    gate, view = tensor.reshape(2 ** k, 2 ** k), (2,) * (n * (x.ndim - 1))
-    for item, dest in zip(x, out):
-        xs, outs = item.reshape(view).transpose(split), dest.reshape(view).transpose(split)
+    gate, view = tensor.reshape(-1, 2 ** k), (2,) * (n * (x.ndim - 1))
+    for b, item in enumerate(x):
+        xs = item.reshape(view).transpose(split[0])
+        outs = out[lead + (b,)].reshape(stack + view).transpose(split[len(stack)])
         for at in np.ndindex(*fixed):
             block = xs[at]
-            outs[at] = (gate @ block.transpose(order).reshape(2 ** k, -1)).reshape(block.shape).transpose(perm)
+            y = gate @ block.transpose(order).reshape(2 ** k, -1)
+            outs[lead + at] = y.reshape(stack + block.shape).transpose(perm[len(stack)])
+            del y  # else it lives on beside the next block's moved copy and product
     return out
 
 
@@ -288,8 +309,11 @@ def _product(tensor: np.ndarray, edge: tuple[int, int], x: np.ndarray, k: int, n
     """`_contract` as one product over the whole batch."""
     view, order, perm = _layout(k, n, x.ndim - 1, int(edge[0]), int(edge[1]))
     # the moved copy of x is a temporary of the product, freed before the last copy
-    y = tensor.reshape(2 ** k, 2 ** k) @ x.reshape(x.shape[:1] + view).transpose(order).reshape(2 ** k, -1)
-    return y.reshape(view[:k] + x.shape[:1] + view[k:]).transpose(perm).reshape(x.shape)
+    y = tensor.reshape(-1, 2 ** k) @ x.reshape(x.shape[:1] + view).transpose(order).reshape(2 ** k, -1)
+    if tensor.ndim % 2:  # a stack, kept off the single gate's path, which is the hotter one
+        stack = tensor.shape[:1]
+        return y.reshape(stack + view[:k] + x.shape[:1] + view[k:]).transpose(perm[1]).reshape(stack + x.shape)
+    return y.reshape(view[:k] + x.shape[:1] + view[k:]).transpose(perm[0]).reshape(x.shape)
 
 
 def apply_local(gate: Gate, edge: tuple[int, int], sigma: np.ndarray) -> np.ndarray:
@@ -314,26 +338,46 @@ def apply_local_vector(gate: Gate, edge: tuple[int, int], vec: np.ndarray) -> np
 
 
 class PlacedGate:
-    """A gate bound to an edge of an n-qubit register, applied by the local
-    kernel."""
+    """Gates bound to one ordered edge of an n-qubit register and applied
+    together by the local kernel: each method returns one result per gate on
+    a leading axis.  The gates' tensors are stacked on first use; a lone
+    gate keeps its own tensor and the kernel's single-gate path, so only the
+    layers of `edge_layers` hold copies."""
 
-    def __init__(self, gate: Gate, edge: tuple[int, int], n: int):
-        self.gate = gate
+    def __init__(self, gates: Sequence[Gate], edge: tuple[int, int], n: int):
+        self.gates = tuple(gates)
         self.edge = (int(edge[0]), int(edge[1]))
         self.n = n
+        self._tensors: dict[str, np.ndarray] = {}
+
+    def _apply(self, name: str, x: np.ndarray, item_ndim: int) -> np.ndarray:
+        """The gates' tensors `name` contracted with each item of x, its
+        trailing `item_ndim` axes."""
+        tensor = self._tensors.get(name)
+        if tensor is None:
+            each = [getattr(g, name) for g in self.gates]
+            shape = (2,) * (each[0].size.bit_length() - 1)
+            tensor = np.stack(each).reshape((len(each),) + shape) if len(each) > 1 else each[0].reshape(shape)
+            self._tensors[name] = tensor
+        items = _contract(tensor, self.edge, x.reshape((-1,) + x.shape[x.ndim - item_ndim :]))
+        return items.reshape((len(self.gates),) + x.shape)
 
     def apply_matrix(self, sigma: np.ndarray) -> np.ndarray:
         """sum_K K sigma K^dag on a matrix or a batch of them."""
-        return apply_local(self.gate, self.edge, sigma)
+        return self._apply("superoperator", sigma, 2)
 
     def apply_vector(self, vec: np.ndarray) -> np.ndarray:
         """U psi for each statevector along the last axis."""
-        return apply_local_vector(self.gate, self.edge, vec)
+        if "unitary" not in self._tensors:  # a channel never gets that far
+            for gate in self.gates:
+                if not gate.is_unitary:
+                    raise ValueError(f"channel {gate.name!r} cannot act on a statevector")
+        return self._apply("unitary", vec, 1)
 
     def pullback(self, effect: np.ndarray) -> np.ndarray:
         """Heisenberg-picture adjoint sum_K K^dag Q K on an effect matrix or a
         batch of them."""
-        return pullback_local(self.gate, self.edge, effect)
+        return self._apply("adjoint_superoperator", effect, 2)
 
 
 class BoundedCache:
@@ -368,7 +412,7 @@ def placed_alphabet(gate_set: GateSet, n: int) -> tuple[PlacedGate, ...]:
     """
     if gate_set.kind != "finite":
         raise ValueError("placed alphabet requires a finite gate set")
-    return _ALPHABETS.get((gate_set_key(gate_set), n), lambda: _place(gate_set, n))
+    return _ALPHABETS.get((gate_set.content_key, n), lambda: _place(gate_set, n))
 
 
 def _placement_key(gate: Gate, edge: tuple[int, int]) -> tuple:
@@ -393,8 +437,30 @@ def _place(gate_set: GateSet, n: int) -> tuple[PlacedGate, ...]:
     placements += [(g, e) for g, e in gate_set.placed_extra if max(e) < n]
     first: dict[tuple, PlacedGate] = {}
     for gate, e in placements:
-        first.setdefault(_placement_key(gate, e), PlacedGate(gate, e, n))
+        first.setdefault(_placement_key(gate, e), PlacedGate((gate,), e, n))
     return tuple(first.values())
+
+
+_LAYERS = BoundedCache()
+
+
+def edge_layers(gate_set: GateSet, n: int) -> tuple[tuple[np.ndarray, PlacedGate], ...]:
+    """The placed alphabet grouped by edge, in order of each edge's first
+    letter: per edge, its letters' positions in the alphabet and one
+    `PlacedGate` holding their gates in that order.  Cached like the
+    alphabet."""
+
+    def build():
+        alphabet = placed_alphabet(gate_set, n)
+        at: dict[tuple[int, int], list[int]] = {}
+        for i, pg in enumerate(alphabet):
+            at.setdefault(pg.edge, []).append(i)
+        return tuple(
+            (np.array(ix), PlacedGate(tuple(alphabet[i].gates[0] for i in ix), edge, n))
+            for edge, ix in at.items()
+        )
+
+    return _LAYERS.get((gate_set.content_key, n), build)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ there.  One effect set is cached per (gate-set content, n).
 
 A query at r splits off the first gate, tr(E^dag(Q) X) = tr(Q E(X)): the
 stack of operators X is pushed through the identity and each placed gate,
-one kernel call per gate, and one matrix product per block of rows of
-M_{r-1} with the images' rows scores all of M_r.  Scores within a
-relative TIE of the least are ties, and ties break toward the first
-candidate in (level, row, gate) order, so last-bit noise never picks the
-witness.
+one kernel call per edge for all of that edge's gates (`edge_layers`), and
+one matrix product per block of rows of M_{r-1} with the images' rows, in
+alphabet order, scores all of M_r.  Growing M_r still steps one gate at a
+time.  Scores within a relative TIE of the least are ties, and ties break
+toward the first candidate in (level, row, gate) order, so last-bit noise
+never picks the witness.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .gates import (
     GateSet,
     PlacedGate,
     _rounded,
-    gate_set_key,
+    edge_layers,
     mask_matrix,
     placed_alphabet,
 )
@@ -199,7 +200,7 @@ class ReachableSet:
         while self.parents[row] >= 0:
             placed.append(self.alphabet[self.gates[row]])
             row = self.parents[row]
-        return Circuit(self.n, tuple((pg.gate, pg.edge) for pg in placed))
+        return Circuit(self.n, tuple((pg.gates[0], pg.edge) for pg in placed))
 
 
 def least_level(reach: ReachableSet, r_max: int, hit: Callable[[np.ndarray], np.ndarray]) -> int | float:
@@ -218,7 +219,7 @@ def least_level(reach: ReachableSet, r_max: int, hit: Callable[[np.ndarray], np.
 
 
 def _pull_back(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
-    return pack(pg.pullback(unpack(rows, 2 ** pg.n)))
+    return pack(pg.pullback(unpack(rows, 2 ** pg.n))[0])
 
 
 _EFFECT_SETS = BoundedCache()
@@ -233,7 +234,7 @@ def effect_set(gate_set: GateSet, n: int) -> ReachableSet:
             placed_alphabet(gate_set, n), n, projectors, _pull_back, not gate_set.is_unitary_only
         )
 
-    return _EFFECT_SETS.get((gate_set_key(gate_set), n), build)
+    return _EFFECT_SETS.get((gate_set.content_key, n), build)
 
 
 def enumerate_effects(gate_set: GateSet, r: int, n: int) -> Iterator[PovmEffect]:
@@ -273,12 +274,12 @@ def circuit_complexity(gate_set: GateSet, target: np.ndarray, r_max: int) -> int
     d = target.shape[0]
     n = int(round(math.log2(d)))
     alphabet = placed_alphabet(gate_set, n)
-    if not all(pg.gate.is_unitary for pg in alphabet):
+    if not all(pg.gates[0].is_unitary for pg in alphabet):
         raise ValueError("circuit complexity is defined for unitary gate sets")
 
     # a row holds V^T, whose rows are the images V|b> of the basis states
     def left_multiply(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
-        return _real_rows(pg.apply_vector(rows.view(complex).reshape(-1, d, d)))
+        return _real_rows(pg.apply_vector(rows.view(complex).reshape(-1, d, d))[0])
 
     def matches(rows: np.ndarray) -> np.ndarray:
         return np.linalg.norm(rows.view(complex).reshape(-1, d, d) - target.T, ord=2, axis=(1, 2)) <= 1e-8
@@ -303,12 +304,12 @@ def approx_state_complexity(
     d = target.size
     n = int(round(math.log2(d)))
     alphabet = placed_alphabet(gate_set, n)
-    if not all(pg.gate.is_unitary for pg in alphabet):
+    if not all(pg.gates[0].is_unitary for pg in alphabet):
         raise ValueError("state complexity is defined for unitary gate sets")
 
     def prepare(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
         # the global phase is fixed by making the first nonzero amplitude real
-        vecs = pg.apply_vector(rows.view(complex))
+        vecs = pg.apply_vector(rows.view(complex))[0]
         lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs) > 1e-12, axis=1)]
         return _real_rows(vecs / (lead / np.abs(lead))[:, None])
 
@@ -349,10 +350,15 @@ def minimize_over_effects(
     effects = effect_set(gate_set, n)
     check_budget(len(effects.alphabet), r)
     rows, masks, built = effects.upto(max(r - 1, 0))
-    first = effects.alphabet if r > 0 else ()
-    width = len(first) + 1
+    width = len(effects.alphabet) + 1 if r > 0 else 1
     xs = np.stack(operators)
-    images = pack(np.stack([xs] + [pg.apply_matrix(xs) for pg in first], axis=1)).transpose(0, 2, 1)
+    # the images of operator b sit at images[b, :, g]: the operator itself at
+    # g = 0, its image under alphabet[g - 1] at g
+    images = np.empty((len(xs), width, xs[0].size))
+    images[:, 0] = pack(xs)
+    for at, layer in edge_layers(gate_set, n) if r > 0 else ():
+        images[:, at + 1] = pack(layer.apply_matrix(xs)).swapaxes(0, 1)
+    images = images.transpose(0, 2, 1)
     # a block replaces the best only with a score below `bar`, which stays
     # inf until a finite score is kept: inf - TIE * inf would be NaN
     best_value, best, bar = math.inf, 0, math.inf

@@ -288,7 +288,7 @@ def iter_circuits(gate_set, n, r):
     stack = [()]
     while stack:
         ops = stack.pop()
-        yield Circuit(n, tuple((alphabet[i].gate, alphabet[i].edge) for i in ops))
+        yield Circuit(n, tuple((alphabet[i].gates[0], alphabet[i].edge) for i in ops))
         if len(ops) < r:
             stack.extend(ops + (i,) for i in reversed(range(len(alphabet))))
 

@@ -161,7 +161,7 @@ def _prop_partial_trace(idx):
     return h_full <= h_red + LOG2 + 1e-8
 
 
-_SELF_INVERSE = [u for u in (embedded_kraus(pg.gate, pg.edge, 2)[0] for pg in placed_alphabet(GS, 2))
+_SELF_INVERSE = [u for u in (embedded_kraus(pg.gates[0], pg.edge, 2)[0] for pg in placed_alphabet(GS, 2))
                  if np.allclose(u @ u, np.eye(4), atol=1e-12)]
 
 

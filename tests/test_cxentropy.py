@@ -212,7 +212,7 @@ class TestStructuralBounds:
         # U is a word over self-inverse gates, so C(U^dag) <= its length
         from cxtherm.gates import placed_alphabet
 
-        unitaries = [embedded_kraus(pg.gate, pg.edge, 2)[0] for pg in placed_alphabet(gate_set, 2)]
+        unitaries = [embedded_kraus(pg.gates[0], pg.edge, 2)[0] for pg in placed_alphabet(gate_set, 2)]
         self_inv = [u for u in unitaries if np.allclose(u @ u, np.eye(4), atol=1e-12)]
         for seed in range(3):
             rng = task_rng(seed)

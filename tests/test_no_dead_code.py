@@ -6,8 +6,8 @@ definition; a non-dunder method counts as used when some file reads it as
 `.name`.  Standard library only: `ast` finds the definitions, a regex search
 finds the uses.  The package also keeps one local gate contraction: no
 module mentions `tensordot`, only `gates.py` holds the kernel's `_layout`
-and its block bound `BLOCK_ENTRIES`, and no gate is embedded in the full
-register.  Rows of M_r have one form, defined in `search.py` alone, and the
+and its block bound `BLOCK_ENTRIES` and reads a gate's superoperators, and
+no gate is embedded in the full register.  Rows of M_r have one form, defined in `search.py` alone, and the
 solvers' slacks on tr(Q rho) >= eta are named once, in `cxentropy.py`.
 """
 
@@ -88,6 +88,13 @@ def test_one_local_contraction():
     texts = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert [name for name, text in texts.items() if "tensordot" in text] == []
     assert [name for name, text in texts.items() if "_layout" in text] == ["gates.py"]
+
+
+def test_one_reader_of_superoperators():
+    # a gate's superoperator and its adjoint are read in gates.py alone, so
+    # no other module stacks or contracts them on the side of the kernel
+    users = sorted(p.name for p in PACKAGE.glob("*.py") if "superoperator" in p.read_text())
+    assert users == ["gates.py"]
 
 
 def test_one_rounding_rule():

@@ -27,7 +27,9 @@ from cxtherm.errors import BudgetExceededError
 from cxtherm.gates import (
     SWAP,
     GateSet,
+    PlacedGate,
     Z,
+    apply_local,
     channel_gate,
     default_gate_set,
     placed_alphabet,
@@ -363,6 +365,44 @@ def test_infeasible_blocks_before_the_first_feasible_one():
 def test_no_feasible_candidate_scores_inf():
     best, _ = tie_query(lambda rows, gates: np.full(np.broadcast_shapes(rows.shape, gates.shape), math.inf))
     assert best.value == math.inf
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("connectivity", ["all-to-all", "chain"])
+def test_query_images_equal_per_letter_images(n, connectivity):
+    # the first-gate images, taken one edge per kernel call, score every
+    # candidate bit for bit as one apply_local per letter, in alphabet order
+    rng = task_rng(830 + n)
+    model = ThermalModel(tuple(rng.uniform(0.2, 2.0, n)))
+    for gate_set in (default_gate_set(connectivity), gibbs_preserving_gate_set(model, connectivity)):
+        rows = effect_set(gate_set, n).upto(0)[0]
+        alphabet = placed_alphabet(gate_set, n)
+        for batch in (1, 3):
+            xs = rng.normal(size=(batch, 2 ** n, 2 ** n)) + 1j * rng.normal(size=(batch, 2 ** n, 2 ** n))
+            xs = xs + np.swapaxes(xs, 1, 2).conj()
+            seen = []
+            minimize_over_effects(gate_set, n, 1, list(xs), lambda traces, masks: seen.append(traces) or traces[0])
+            images = pack(np.stack([xs] + [apply_local(pg.gates[0], pg.edge, xs) for pg in alphabet], axis=1))
+            want = [rows @ im for im in images.transpose(0, 2, 1)]
+            assert len(seen) == 1 and len(seen[0]) == batch
+            for got, expected in zip(seen[0], want):
+                assert got.shape == (2 ** n, len(alphabet) + 1)
+                assert np.array_equal(got, expected), (gate_set.connectivity, n, batch)
+
+
+@pytest.mark.parametrize("n, edge_count", [(3, 3), (4, 6)])
+def test_query_images_take_one_kernel_call_per_edge(monkeypatch, n, edge_count):
+    calls = []
+    original = PlacedGate.apply_matrix
+
+    def spy(self, sigma):
+        calls.append(len(self.gates))
+        return original(self, sigma)
+
+    monkeypatch.setattr(PlacedGate, "apply_matrix", spy)
+    ops = [rand_state(n, 850).matrix, np.eye(2 ** n)]
+    minimize_over_effects(DEFAULT, n, 2, ops, lambda traces, masks: traces[0] - traces[1])
+    assert len(calls) == edge_count and sum(calls) == len(placed_alphabet(DEFAULT, n))
 
 
 def test_concurrent_queries_share_one_build():

@@ -24,6 +24,7 @@ from cxtherm.registers import (
     ghz_state,
     maximally_mixed,
     partial_trace,
+    partial_trace_matrix,
     register,
     zero_state,
 )
@@ -103,6 +104,43 @@ class TestRunProtocol:
         model = ThermalModel.degenerate(1)
         with pytest.raises(ProtocolError):
             run_protocol(Protocol(1, (Extract(0),)), maximally_mixed(1), model)
+
+    def test_extract_off_zero_names_the_population(self):
+        # qubit 1 of |0><0| (x) diag(3/4, 1/4) (x) |1><1|, on a matrix the
+        # protocol does not own and after a RESET on one it does
+        model = ThermalModel.degenerate(3)
+        rho = DensityOperator(register(3), np.kron(np.kron(np.diag([1.0, 0.0]), np.diag([0.75, 0.25])),
+                                                   np.diag([0.0, 1.0])))
+        for steps in ((Extract(1),), (Reset(2), Extract(1))):
+            with pytest.raises(ProtocolError, match=r"^EXTRACT on qubit 1: population in \|0> is 0\.75$"):
+                run_protocol(Protocol(3, steps), rho, model)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_extract_verdicts_equal_the_partial_trace_oracle(self, n):
+        # states |0> on the qubit mixed with a random state at weight p: the
+        # verdict is the reduced state's, none lies within 1e-11 of the bar
+        model = ThermalModel.degenerate(n)
+        rng = task_rng(60 + n)
+        verdicts = set()
+        for q in range(n):
+            noise = random_density_matrix(2 ** n, 2 ** n, rng)
+            keep = np.array([(b >> (n - 1 - q)) & 1 == 0 for b in range(2 ** n)], dtype=float)
+            zero = keep[:, None] * noise * keep[None, :]
+            zero /= np.trace(zero).real
+            for p in (0.0, 1e-13, 1e-11, 1e-8, 0.3, 1.0):
+                rho = DensityOperator(register(n), (1 - p) * zero + p * noise)
+                reduced = partial_trace_matrix(rho.matrix, n, [q])
+                ground = reduced[0, 0].real / np.trace(reduced).real
+                assert abs(ground - (1 - thermo_module.EXTRACT_FIDELITY_TOL)) > 1e-11
+                legal = ground >= 1 - thermo_module.EXTRACT_FIDELITY_TOL
+                try:
+                    run_protocol(Protocol(n, (Extract(q),)), rho, model)
+                    verdicts.add(True)
+                    assert legal, (q, p)
+                except ProtocolError:
+                    verdicts.add(False)
+                    assert not legal, (q, p)
+        assert verdicts == {True, False}
 
     def test_gate_counts_complexity(self, gate_set):
         cnot = next(g for g in gate_set.gates if g.name == "cnot")
@@ -504,7 +542,7 @@ class TestGBound:
         # tiny instance: value - log(1/eta) <= min work over interleaved
         # protocols with the same resources
         alphabet = placed_alphabet(gate_set, 2)
-        gate_mats = [embedded_kraus(pg.gate, pg.edge, 2)[0] for pg in alphabet[:6]]
+        gate_mats = [embedded_kraus(pg.gates[0], pg.edge, 2)[0] for pg in alphabet[:6]]
         eta = 0.8
         for seed in (0, 1):
             rho = rand_state(2, 80 + seed, rank=2)
