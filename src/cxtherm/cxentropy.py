@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropies import check_test_args
+from .entropies import check_eta, check_test_args
 from .gates import (
     GateSet,
     expand_operator,
     mask_traces_identity,
     pullback_effect,
 )
-from .registers import DensityOperator, HermitianOperator, PovmEffect, partial_trace
+from .registers import DensityOperator, HermitianOperator, PovmEffect, _fitted, partial_trace
 from .search import minimize_over_effects
 
 FEASIBILITY_SLACK = 1e-12
@@ -62,9 +62,17 @@ class ConditionalSpec:
 
 
 def _is_scalar_identity(matrix: np.ndarray) -> float | None:
+    """c when ||matrix - c I||_2 <= 1e-14 max(|c|, 1) for c = tr(matrix)/d,
+    else None.  Every entry of a matrix is at most its spectral norm, and its
+    Frobenius norm at least that, so an SVD is run only when neither bound
+    decides."""
     d = matrix.shape[0]
     c = float(np.trace(matrix).real) / d
-    if np.linalg.norm(matrix - c * np.eye(d), ord=2) <= 1e-14 * max(abs(c), 1.0):
+    tol = 1e-14 * max(abs(c), 1.0)
+    dev = matrix - c * np.eye(d)
+    if np.abs(dev).max() > tol:
+        return None
+    if np.linalg.norm(dev) <= tol or np.linalg.norm(dev, ord=2) <= tol:
         return c
     return None
 
@@ -77,7 +85,8 @@ def _verify_witness(effect: PovmEffect, rho: DensityOperator, eta: float):
 
 def _enumeration_estimate(
     rho: DensityOperator,
-    gamma: HermitianOperator,
+    gamma: np.ndarray,
+    scalar: float | None,
     gate_set: GateSet,
     r: int,
     eta: float,
@@ -85,8 +94,7 @@ def _enumeration_estimate(
 ) -> EntropyEstimate:
     n = rho.n
     eta_eff = eta - FEASIBILITY_SLACK
-    scalar = _is_scalar_identity(gamma.matrix) if gate_set.is_unitary_only else None
-    mats = [rho.matrix] if scalar is not None else [rho.matrix, gamma.matrix]
+    mats = [rho.matrix] if scalar is not None else [rho.matrix, gamma]
     id_traces = mask_traces_identity(n)
 
     def score(traces, masks):
@@ -114,6 +122,48 @@ def _enumeration_estimate(
     return EntropyEstimate(value, "exact", witness, solver)
 
 
+def _check_r(r: int) -> None:
+    if r < 0:
+        raise ValueError("complexity budget r must be >= 0")
+
+
+def _relative_entropy(
+    rho: DensityOperator,
+    gamma: np.ndarray,
+    gate_set: GateSet,
+    r: int,
+    eta: float,
+    *,
+    identity: bool = False,
+    reduced: bool = False,
+    threads: int = 1,
+    seed: int = 0,
+    restarts: int = 32,
+    iterations: int = 50,
+) -> EntropyEstimate:
+    """`cx_relative_entropy` on arguments the caller has checked: r >= 0,
+    eta in (0, tr rho], and a Gamma matrix on rho's register that is
+    positive-semidefinite and stored as the public constructor stores it.
+    `identity` says that Gamma is I, which then is not examined."""
+    if gate_set.kind == "finite":
+        scalar = None
+        if gate_set.is_unitary_only:
+            scalar = 1.0 if identity else _is_scalar_identity(gamma)
+        return _enumeration_estimate(rho, gamma, scalar, gate_set, r, eta, reduced)
+
+    from .heuristic import heuristic_search
+
+    cand = heuristic_search(
+        rho.matrix, gamma, rho.n, r, eta,
+        connectivity=gate_set.connectivity, reduced=reduced,
+        seed=seed, restarts=restarts, iterations=iterations, threads=threads,
+    )
+    witness = PovmEffect(rho.register, cand.effect)
+    _verify_witness(witness, rho, eta)
+    value = math.inf if cand.score <= 0.0 else -math.log(cand.score)
+    return EntropyEstimate(value, "lower_bound", witness, cand.meta)
+
+
 def cx_relative_entropy(
     rho: DensityOperator,
     gamma: HermitianOperator,
@@ -139,23 +189,12 @@ def cx_relative_entropy(
     `threads` parallelizes the heuristic's restarts; enumeration runs in the
     calling thread.
     """
-    if r < 0:
-        raise ValueError("complexity budget r must be >= 0")
+    _check_r(r)
     check_test_args(rho, gamma, eta)
-    if gate_set.kind == "finite":
-        return _enumeration_estimate(rho, gamma, gate_set, r, eta, reduced)
-
-    from .heuristic import heuristic_search
-
-    cand = heuristic_search(
-        rho.matrix, gamma.matrix, rho.n, r, eta,
-        connectivity=gate_set.connectivity, reduced=reduced,
-        seed=seed, restarts=restarts, iterations=iterations, threads=threads,
+    return _relative_entropy(
+        rho, gamma.matrix, gate_set, r, eta,
+        reduced=reduced, threads=threads, seed=seed, restarts=restarts, iterations=iterations,
     )
-    witness = PovmEffect(rho.register, cand.effect)
-    _verify_witness(witness, rho, eta)
-    value = math.inf if cand.score <= 0.0 else -math.log(cand.score)
-    return EntropyEstimate(value, "lower_bound", witness, cand.meta)
 
 
 def cx_entropy(
@@ -170,10 +209,14 @@ def cx_entropy(
     restarts: int = 32,
     iterations: int = 50,
 ) -> EntropyEstimate:
-    """Complexity entropy H_H^{r,eta}(rho) = -D_H^{r,eta}(rho || I)."""
-    identity = HermitianOperator(rho.register, np.eye(rho.dim))
-    est = cx_relative_entropy(
-        rho, identity, gate_set, r, eta,
+    """Complexity entropy H_H^{r,eta}(rho) = -D_H^{r,eta}(rho || I).
+
+    I is positive-semidefinite and on rho's register by construction, so
+    only r and eta are checked."""
+    _check_r(r)
+    check_eta(rho, eta)
+    est = _relative_entropy(
+        rho, np.eye(rho.dim, dtype=complex), gate_set, r, eta, identity=True,
         reduced=reduced, threads=threads, seed=seed, restarts=restarts, iterations=iterations,
     )
     certainty = {"exact": "exact", "lower_bound": "upper_bound"}[est.certainty]
@@ -187,17 +230,20 @@ def conditional_cx_entropy(
     *,
     threads: int = 1,
 ) -> EntropyEstimate:
-    """Complexity conditional entropy H(A|B) = -D_H^{r,eta}(rho_AB || I_A x rho_B)."""
+    """Complexity conditional entropy H(A|B) = -D_H^{r,eta}(rho_AB || I_A x rho_B).
+
+    I_A x rho_B is derived from a checked state, so it is hermitized as the
+    public constructor stores it but its spectrum is not re-checked."""
     labels = set(spec.part_a) | set(spec.part_b)
     if not labels <= set(rho.register.labels):
         raise ValueError("partition labels missing from register")
     rho_ab = partial_trace(rho, labels) if labels < set(rho.register.labels) else rho
     rho_b = partial_trace(rho_ab, spec.part_b)
     positions = [rho_ab.register.index_of(lbl) for lbl in rho_b.register.labels]
-    gamma = HermitianOperator(
-        rho_ab.register, expand_operator(rho_b.matrix, rho_ab.n, positions)
-    )
-    est = cx_relative_entropy(rho_ab, gamma, gate_set, spec.r, spec.eta, threads=threads)
+    gamma = _fitted(rho_ab.register, expand_operator(rho_b.matrix, rho_ab.n, positions), owned=True)
+    _check_r(spec.r)
+    check_eta(rho_ab, spec.eta)
+    est = _relative_entropy(rho_ab, gamma, gate_set, spec.r, spec.eta, threads=threads)
     certainty = {"exact": "exact", "lower_bound": "upper_bound"}[est.certainty]
     return EntropyEstimate(-est.value, certainty, est.witness, est.solver)
 

@@ -218,25 +218,25 @@ def _neyman_pearson(rho: np.ndarray, gamma: np.ndarray, eta: float):
     return beta_primal, beta_dual, q, mu
 
 
+def check_eta(rho: DensityOperator, eta: float) -> None:
+    if not 0.0 < eta <= rho.trace() + 1e-12:
+        raise ValueError(f"eta must lie in (0, tr(rho)] = (0, {rho.trace():.12g}]")
+
+
 def check_test_args(rho: DensityOperator, gamma: HermitianOperator, eta: float) -> None:
     """What every hypothesis test of rho against Gamma at acceptance eta
     needs: one register, eta in (0, tr rho], Gamma positive-semidefinite."""
     if rho.register.labels != gamma.register.labels:
         raise ValueError("state and reference must share a register")
-    if not 0.0 < eta <= rho.trace() + 1e-12:
-        raise ValueError(f"eta must lie in (0, tr(rho)] = (0, {rho.trace():.12g}]")
+    check_eta(rho, eta)
     if np.linalg.eigvalsh(gamma.matrix).min() < -1e-10:
         raise ValueError("reference operator must be positive-semidefinite")
 
 
-def hyp_relative_entropy(
-    rho: DensityOperator, gamma: HermitianOperator, eta: float
-) -> HypTestResult:
-    """Hypothesis-testing relative entropy D_H^eta(rho || Gamma), exact."""
-    check_test_args(rho, gamma, eta)
+def _hyp_test(rho: DensityOperator, gamma: np.ndarray, eta: float) -> HypTestResult:
+    """`hyp_relative_entropy` on checked arguments."""
     eta = min(eta, rho.trace())
-
-    beta_p, beta_d, q, mu = _neyman_pearson(rho.matrix, gamma.matrix, eta)
+    beta_p, beta_d, q, mu = _neyman_pearson(rho.matrix, gamma, eta)
     effect = PovmEffect(rho.register, q)
     if beta_p <= 0.0:
         return HypTestResult(math.inf, effect, mu, math.inf, math.inf)
@@ -245,10 +245,19 @@ def hyp_relative_entropy(
     return HypTestResult(primal, effect, mu, primal, dual)
 
 
+def hyp_relative_entropy(
+    rho: DensityOperator, gamma: HermitianOperator, eta: float
+) -> HypTestResult:
+    """Hypothesis-testing relative entropy D_H^eta(rho || Gamma), exact."""
+    check_test_args(rho, gamma, eta)
+    return _hyp_test(rho, gamma.matrix, eta)
+
+
 def hyp_entropy(rho: DensityOperator, eta: float) -> HypTestResult:
-    """H_hyp^eta(rho) = -D_H^eta(rho || I)."""
-    identity = HermitianOperator(rho.register, np.eye(rho.dim))
-    res = hyp_relative_entropy(rho, identity, eta)
+    """H_hyp^eta(rho) = -D_H^eta(rho || I).  I is positive-semidefinite and
+    on rho's register by construction, so only eta is checked."""
+    check_eta(rho, eta)
+    res = _hyp_test(rho, np.eye(rho.dim, dtype=complex), eta)
     return HypTestResult(
         -res.value, res.optimal_effect, res.mu_star, -res.primal_value, -res.dual_value
     )

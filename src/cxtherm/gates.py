@@ -93,7 +93,7 @@ class Gate:
     def is_unitary(self) -> bool:
         return self.unitary is not None
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
         return self.is_unitary and bool(np.allclose(self.unitary, np.eye(4), atol=1e-12))
 
@@ -145,7 +145,7 @@ class GateSet:
         if self.connectivity not in ("all-to-all", "chain"):
             raise ValueError(f"unknown connectivity {self.connectivity!r}")
 
-    @property
+    @cached_property
     def is_unitary_only(self) -> bool:
         return all(g.is_unitary for g in self.gates) and all(
             g.is_unitary for g, _ in self.placed_extra
@@ -340,15 +340,16 @@ def apply_local_vector(gate: Gate, edge: tuple[int, int], vec: np.ndarray) -> np
 class PlacedGate:
     """Gates bound to one ordered edge of an n-qubit register and applied
     together by the local kernel: each method returns one result per gate on
-    a leading axis.  The gates' tensors are stacked on first use; a lone
+    a leading axis.  The gates' tensors are stacked on first use, into
+    `tensors`, a dict that placed gates of the same gates may share; a lone
     gate keeps its own tensor and the kernel's single-gate path, so only the
     layers of `edge_layers` hold copies."""
 
-    def __init__(self, gates: Sequence[Gate], edge: tuple[int, int], n: int):
+    def __init__(self, gates: Sequence[Gate], edge: tuple[int, int], n: int, tensors: dict | None = None):
         self.gates = tuple(gates)
         self.edge = (int(edge[0]), int(edge[1]))
         self.n = n
-        self._tensors: dict[str, np.ndarray] = {}
+        self._tensors: dict[str, np.ndarray] = {} if tensors is None else tensors
 
     def _apply(self, name: str, x: np.ndarray, item_ndim: int) -> np.ndarray:
         """The gates' tensors `name` contracted with each item of x, its
@@ -447,18 +448,21 @@ _LAYERS = BoundedCache()
 def edge_layers(gate_set: GateSet, n: int) -> tuple[tuple[np.ndarray, PlacedGate], ...]:
     """The placed alphabet grouped by edge, in order of each edge's first
     letter: per edge, its letters' positions in the alphabet and one
-    `PlacedGate` holding their gates in that order.  Cached like the
-    alphabet."""
+    `PlacedGate` holding their gates in that order.  Layers that hold the
+    same gates in the same order stack their tensors once, together.
+    Cached like the alphabet."""
 
     def build():
         alphabet = placed_alphabet(gate_set, n)
         at: dict[tuple[int, int], list[int]] = {}
         for i, pg in enumerate(alphabet):
             at.setdefault(pg.edge, []).append(i)
-        return tuple(
-            (np.array(ix), PlacedGate(tuple(alphabet[i].gates[0] for i in ix), edge, n))
-            for edge, ix in at.items()
-        )
+        stacks: dict[tuple[Gate, ...], dict] = {}
+        layers = []
+        for edge, ix in at.items():
+            gates = tuple(alphabet[i].gates[0] for i in ix)
+            layers.append((np.array(ix), PlacedGate(gates, edge, n, stacks.setdefault(gates, {}))))
+        return tuple(layers)
 
     return _LAYERS.get((gate_set.content_key, n), build)
 

@@ -7,13 +7,13 @@ non-identity gate costs one unit of complexity and no work.
 
 `run_protocol` applies a gate step with the local kernel, which holds the
 previous matrix and its output.  A run of RESETs, or an EXTRACT, overwrites
-a matrix the protocol owns in one pass, after tracing its qubits out into a
-quarter-size buffer and then smaller ones; the result is hermitized in
-place, above 256 rows a pair of tiles at a time.  With the caller's matrix,
-a gate step thus peaks at three 2^n x 2^n matrices plus 1 MiB blocks, and a
-run of RESETs at two and five sixteenths, while its second trace is made
-beside the first (768 MiB and 592 MiB at n = 12, where one matrix is
-256 MiB).
+a matrix the protocol owns in one pass, after tracing its qubits out: one
+qubit into a quarter-size buffer, two or more into two sixteenth-size ones
+and then smaller ones; the result is hermitized in place, above 256 rows a
+pair of tiles at a time.  With the caller's matrix, a gate step thus peaks
+at three 2^n x 2^n matrices plus 1 MiB blocks, a lone RESET or an EXTRACT
+at two and a quarter, and a longer run of RESETs at two and an eighth
+(768, 576 and 544 MiB at n = 12, where one matrix is 256 MiB).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -129,14 +130,34 @@ def _replace_qubits(sigma: np.ndarray, n: int, qubits: Sequence[int], local: np.
     the qubits one at a time in this order leaves: local on the last,
     |0><0| on the others, (x) the partial trace over all of them.
 
-    The qubits are traced out in order, a repeated one once, the first
-    trace into a quarter-size buffer and each later one into a quarter of
-    the last.  Then sigma is written once: local (x) the trace where the
-    other qubits are in |0><0|, and +0.0 elsewhere, which is also what one
-    replacement at a time leaves there: a trace sums from +0.0."""
+    The qubits are traced out in order, a repeated one once, each trace
+    into a quarter of the last; the first two go straight into
+    sixteenth-size buffers, with the sums of one trace after the other.
+    Then sigma is written once: local (x) the trace where the other qubits
+    are in |0><0|, and +0.0 elsewhere, which is also what one replacement
+    at a time leaves there: a trace sums from +0.0."""
     traced = list(dict.fromkeys(qubits))
-    reduced, left = sigma, list(range(n))
-    for q in traced:
+    reduced, left, rest = sigma, list(range(n)), traced
+    if len(traced) > 1:
+        a, b = traced[:2]
+        t = sigma.reshape((2,) * (2 * n))
+
+        def part(x, y):
+            at = [slice(None)] * (2 * n)
+            at[a], at[n + a], at[b], at[n + b] = x, x, y, y
+            return t[tuple(at)]
+
+        # the first trace at b = y is (0 + s_0y) + s_1y, never -0.0, so the
+        # second trace's leading 0 + would leave it as it is
+        reduced = 0.0 + part(0, 0)
+        reduced += part(1, 0)
+        ones = 0.0 + part(0, 1)
+        ones += part(1, 1)
+        reduced += ones
+        del ones
+        left = [q for q in left if q not in (a, b)]
+        rest = traced[2:]
+    for q in rest:
         i, k = left.index(q), len(left)
         v = reduced.reshape((2 ** i, 2, 2 ** (k - 1 - i)) * 2)
         # summed from +0.0 as np.trace does: -0.0 + -0.0 alone would keep the sign
@@ -290,6 +311,26 @@ def _unmasked(n: int, bits: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if not (bits >> (n - 1 - i)) & 1)
 
 
+_RESET_WORK = BoundedCache()
+
+
+def _reset_work(model: ThermalModel) -> np.ndarray:
+    """The RESET work of every mask: a masked qubit is projected to |0>, and
+    the RESET set is the rest.  Read-only, as it is shared per energies."""
+    n = model.n
+    work = np.array([sum(model.reset_work(i) for i in _unmasked(n, m)) for m in range(2 ** n)], float)
+    work.flags.writeable = False
+    return work
+
+
+@lru_cache(maxsize=16)
+def _kept_counts(n: int) -> np.ndarray:
+    """|W|, the qubits each mask leaves free, as floats; read-only."""
+    kept = np.round(np.log2(mask_traces_identity(n)))
+    kept.flags.writeable = False
+    return kept
+
+
 @dataclass(frozen=True)
 class ErasureResult:
     beta_work: float
@@ -314,8 +355,7 @@ def erasure_search(
         raise ValueError("eta must lie in (0, 1]")
     validate_gibbs_gate_set(gate_set, model)
 
-    # a masked qubit is projected to |0>; the RESET set is the rest
-    work = np.array([sum(model.reset_work(i) for i in _unmasked(n, m)) for m in range(2 ** n)], float)
+    work = _RESET_WORK.get(model.energies, lambda: _reset_work(model))
     eta_eff = eta - FEASIBILITY_SLACK
 
     def score(traces, masks):
@@ -478,7 +518,7 @@ def compression_search(
         raise ValueError("compression is defined for unitary computations")
     n = rho.n
     target = 1.0 - eps - FEASIBILITY_SLACK
-    kept = np.round(np.log2(mask_traces_identity(n)))  # |W| per mask
+    kept = _kept_counts(n)
 
     def score(traces, masks):
         return np.where(traces[0] >= target, kept[masks], math.inf)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cxtherm import cxentropy as cxentropy_module, registers
 from cxtherm.cxentropy import (
     ConditionalSpec,
+    _is_scalar_identity,
     conditional_cx_entropy,
     cx_entropy,
     cx_relative_entropy,
@@ -16,7 +18,7 @@ from cxtherm.cxentropy import (
 from cxtherm.entropies import hyp_entropy, hyp_relative_entropy
 from cxtherm.experiments import brickwork_circuit
 from cxtherm import heuristic
-from cxtherm.gates import continuous_su4_gate_set, default_gate_set, mask_matrix
+from cxtherm.gates import continuous_su4_gate_set, default_gate_set, expand_operator, mask_matrix
 from cxtherm.registers import (
     DensityOperator,
     HermitianOperator,
@@ -31,8 +33,14 @@ from cxtherm.registers import (
     zero_state,
 )
 from cxtherm.sampling import random_density_matrix, sample_pure_state, task_rng
+from cxtherm.thermo import ThermalModel, gibbs_preserving_gate_set
 
 from oracles import central_difference, dense_su4_effect, dfs_enumerate_effects, embedded_kraus
+
+try:  # norm(ord=2) calls the svd of the module that defines it
+    from numpy.linalg import _linalg as linalg_impl
+except ImportError:  # numpy < 2
+    from numpy.linalg import linalg as linalg_impl
 
 LOG2 = math.log(2.0)
 
@@ -529,3 +537,148 @@ class TestEstimateInvariants:
         est = cx_entropy(rand_state(2, 31), gate_set, 1, 0.8)
         assert est.certainty == "exact"
         assert est.solver["method"] == "enumeration"
+
+
+class TestIdentityReference:
+    """Gamma = I, and the conditional's I_A x rho_B, are built by the package
+    and not re-checked; the results must keep the bits of the checked route
+    through `cx_relative_entropy` and `hyp_relative_entropy`."""
+
+    @staticmethod
+    def assert_same(est, ref):
+        assert est.value.hex() == (-ref.value).hex()
+        assert est.certainty == {"exact": "exact", "lower_bound": "upper_bound"}[ref.certainty]
+        assert est.witness.matrix.tobytes() == ref.witness.matrix.tobytes()
+        assert est.witness.provenance == ref.witness.provenance
+        assert repr(est.solver) == repr(ref.solver)
+
+    @pytest.mark.parametrize("kind", ["all-to-all", "chain", "gibbs", "continuous"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_entropy_equals_the_identity_reference_bitwise(self, kind, n):
+        if kind == "gibbs":
+            gs = gibbs_preserving_gate_set(ThermalModel(tuple(np.linspace(0.3, 1.7, n))))
+        elif kind == "continuous":
+            gs = continuous_su4_gate_set()
+        else:
+            gs = default_gate_set(kind)
+        rs = (0, 1) if kind == "continuous" or (kind == "gibbs" and n == 3) else (0, 1, 2)
+        search = dict(seed=5, restarts=3, iterations=10) if kind == "continuous" else {}
+        for seed, rank in ((60 + n, 1), (70 + n, 2 ** n)):
+            rho = rand_state(n, seed, rank)
+            identity = HermitianOperator(rho.register, np.eye(2 ** n))
+            for r in rs:
+                for eta, reduced in ((0.9, False), (0.7, True), (1.0, False)):
+                    cx_entropy(rho, gs, r, eta, **search)  # so both find M_{r-1} built
+                    est = cx_entropy(rho, gs, r, eta, reduced=reduced, **search)
+                    ref = cx_relative_entropy(rho, identity, gs, r, eta, reduced=reduced, **search)
+                    self.assert_same(est, ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_hyp_entropy_equals_the_identity_reference_bitwise(self, n):
+        for seed, rank, eta in ((80 + n, 1, 0.9), (90 + n, 2 ** n, 0.6), (95 + n, 2, 1.0)):
+            rho = rand_state(n, seed, rank)
+            res = hyp_entropy(rho, eta)
+            ref = hyp_relative_entropy(rho, HermitianOperator(rho.register, np.eye(2 ** n)), eta)
+            for got, want in ((res.value, ref.value), (res.primal_value, ref.primal_value),
+                              (res.dual_value, ref.dual_value)):
+                assert got.hex() == (-want).hex()
+            assert res.mu_star == ref.mu_star
+            assert res.optimal_effect.matrix.tobytes() == ref.optimal_effect.matrix.tobytes()
+
+    @pytest.mark.parametrize("connectivity", ["all-to-all", "chain"])
+    def test_conditional_equals_the_checked_reference_bitwise(self, connectivity):
+        gs = default_gate_set(connectivity)
+        for n, part_a, part_b in ((2, ("q0",), ("q1",)), (3, ("q1",), ("q0", "q2")), (3, ("q2",), ("q0",))):
+            rho = rand_state(n, 100 + n, 3)
+            labels = set(part_a) | set(part_b)
+            rho_ab = partial_trace(rho, labels) if len(labels) < n else rho
+            rho_b = partial_trace(rho_ab, part_b)
+            at = [rho_ab.register.index_of(lbl) for lbl in rho_b.register.labels]
+            gamma = HermitianOperator(rho_ab.register, expand_operator(rho_b.matrix, rho_ab.n, at))
+            for r in (0, 1, 2):
+                cx_entropy(rho_ab, gs, r, 0.8)  # so both find M_{r-1} built
+                est = conditional_cx_entropy(rho, ConditionalSpec(part_a, part_b, r, 0.8), gs)
+                self.assert_same(est, cx_relative_entropy(rho_ab, gamma, gs, r, 0.8))
+
+    def test_eta_and_budget_still_checked(self, gate_set):
+        rho = rand_state(2, 7)
+        with pytest.raises(ValueError, match="complexity budget"):
+            cx_entropy(rho, gate_set, -1, 0.9)
+        for eta in (0.0, 1.5):
+            with pytest.raises(ValueError, match="eta must lie"):
+                cx_entropy(rho, gate_set, 1, eta)
+            with pytest.raises(ValueError, match="eta must lie"):
+                hyp_entropy(rho, eta)
+            with pytest.raises(ValueError, match="eta must lie"):
+                conditional_cx_entropy(rho, ConditionalSpec(("q0",), ("q1",), 1, eta), gate_set)
+
+    def test_exact_entropy_runs_no_svd_and_checks_only_its_witness(self, monkeypatch):
+        # a warm n = 3 query: the one operator built and diagonalized is the
+        # witness; Gamma = I is neither built, nor checked, nor examined
+        gs = default_gate_set()
+        rho = rand_state(3, 110, 3)
+        cx_entropy(rho, gs, 1, 0.9)
+        calls = {"svd": 0, "eigvalsh": 0, "operators": 0, "scalar": 0}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(linalg_impl, "svd", spy("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(registers, "_fitted", spy("operators", registers._fitted))
+        monkeypatch.setattr(cxentropy_module, "_is_scalar_identity", spy("scalar", _is_scalar_identity))
+        for reduced in (False, True):
+            calls.update(dict.fromkeys(calls, 0))
+            est = cx_entropy(rho, gs, 1, 0.9, reduced=reduced)
+            assert est.certainty == "exact"
+            assert calls == {"svd": 0, "eigvalsh": 1, "operators": 1, "scalar": 0}
+
+
+def _svd_oracle(m):
+    """The decision `_is_scalar_identity` makes, by the spectral norm."""
+    d = m.shape[0]
+    c = float(np.trace(m).real) / d
+    return c if np.linalg.norm(m - c * np.eye(d), ord=2) <= 1e-14 * max(abs(c), 1.0) else None
+
+
+class TestScalarIdentity:
+    X4 = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(4))  # eigenvalues +-1, entries 0 or 1
+
+    @pytest.mark.parametrize("c", [0.0, 1e-3])
+    @pytest.mark.parametrize("rel", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_boundary_cases_decide_as_the_svd(self, c, rel):
+        tol = 1e-14
+        delta = tol * rel
+        cases = [c * np.eye(8, dtype=complex) + m for m in (
+            # a diagonal off by tol (1 +- 1e-3) in two places, trace unchanged:
+            # below, only the SVD tells, since its Frobenius norm exceeds tol
+            np.diag([delta, -delta] + [0.0] * 6),
+            # off the diagonal, spectral norm delta and Frobenius norm
+            # sqrt(8) delta > tol
+            delta * self.X4,
+            # entries at most tol / 2 but spectral norm 3.5 tol
+            0.5 * tol * (np.ones((8, 8)) - np.eye(8)),
+        )]
+        for m in cases:
+            assert _is_scalar_identity(m) == _svd_oracle(m)
+        assert (_is_scalar_identity(cases[0]) is None) == (rel > 1.0)
+        assert _is_scalar_identity(cases[2]) is None
+
+    def test_clear_cases_run_no_svd(self, monkeypatch):
+        # c I is accepted by its Frobenius norm, a state or a Gibbs weight is
+        # rejected by its entries
+        rho = rand_state(2, 120)
+        gibbs = ThermalModel((0.4, 1.3)).gamma_full()
+        refuse = lambda *a, **k: pytest.fail("SVD run")  # noqa: E731
+        monkeypatch.setattr(linalg_impl, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for c in (0.0, 1.0, 0.25, 3.0):
+            assert _is_scalar_identity(c * np.eye(4, dtype=complex)) == c
+        assert _is_scalar_identity(rho.matrix) is None
+        assert _is_scalar_identity(gibbs) is None
+        monkeypatch.undo()
+        assert _svd_oracle(rho.matrix) is None is _svd_oracle(gibbs)

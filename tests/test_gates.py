@@ -178,6 +178,27 @@ class TestPlacedAlphabet:
         assert names[:4] == [("minus_i", (0, 1)), ("dephase_a", (0, 1)), ("dephase_a", (1, 2)), ("cz", (0, 1))]
         assert "cz_signed" not in {name for name, _ in names}
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_layers_of_equal_gates_share_one_stack(self, n):
+        # at n = 3 the default set's layers (0, 1) and (1, 2) hold the same
+        # gates, at n = 4 its six layers three distinct tuples; the Gibbs
+        # set's thermal channels differ per edge
+        model = ThermalModel(tuple(task_rng(n).uniform(0.2, 2.0, n)))
+        sets = [default_gate_set(), default_gate_set("chain"), gibbs_preserving_gate_set(model)]
+        x = np.eye(2 ** n, dtype=complex)
+        for gate_set in sets:
+            layers = [layer for _, layer in edge_layers(gate_set, n)]
+            for layer in layers:
+                layer.apply_matrix(x)
+                layer.pullback(x)
+            for name in ("superoperator", "adjoint_superoperator"):
+                stacks = {layer.gates: layer._tensors[name] for layer in layers}
+                for layer in layers:
+                    assert layer._tensors[name] is stacks[layer.gates]
+                assert len({id(t) for t in stacks.values()}) == len(stacks)
+        distinct = {layer.gates for _, layer in edge_layers(default_gate_set(), n)}
+        assert len(distinct) == {3: 2, 4: 3}[n]
+
     def test_state_and_unitary_sets_build_no_embedding(self, monkeypatch):
         # a gate-set content no other test caches, so its 7-qubit alphabet is
         # built here, under the refusal

@@ -57,6 +57,21 @@ def test_thread_count_does_not_change_samples():
         assert np.array_equal(a, b)
 
 
+def test_cli_import_starts_no_thread_pool_machinery(run_python, tmp_path):
+    # exact queries run serially; the pool's module is imported only when a
+    # map runs on more than one thread
+    code = ("import sys, cxtherm.cli\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "from cxtherm.parallel import deterministic_map\n"
+            "deterministic_map(abs, [-1, -2], threads=1)\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "assert deterministic_map(abs, [-1, -2], threads=2) == [1, 2]\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    res = run_python(code, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "False", "True"]
+
+
 def test_haar_z_expectation_monte_carlo():
     # <psi|Z|psi> is uniform on [-1, 1] under the Haar measure: mean 0,
     # variance 1/3, so a 1e4-sample mean lies within 3 sigma of 0.
