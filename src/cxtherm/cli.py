@@ -20,7 +20,7 @@ import numpy as np
 
 from . import experiments, thermo
 from .cxentropy import cx_entropy
-from .entropies import hyp_entropy
+from .entropies import LOG2, hyp_entropy
 from .errors import BudgetExceededError, ConfigError
 from .gates import GateSet, default_gate_set, format_matrix, parse_gate_set, parse_matrix
 from .registers import (
@@ -34,8 +34,6 @@ from .registers import (
 from .reporting import canonical_value, config_hash, emit
 from .sampling import sample_pure_state
 from .selftest import run_selftest
-
-LOG2 = math.log(2.0)
 
 _COMMON = {
     "n": (int, 3, "number of qubits"),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropies import check_eta, check_test_args
+from .entropies import LOG2, check_eta, check_test_args
 from .gates import (
     GateSet,
     expand_operator,
@@ -24,8 +24,6 @@ from .search import minimize_over_effects
 
 FEASIBILITY_SLACK = 1e-12
 WITNESS_SLACK = 1e-10
-
-LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)

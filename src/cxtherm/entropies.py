@@ -31,6 +31,7 @@ from .registers import (
 )
 
 _SUPPORT_RTOL = 1e-12
+LOG2 = math.log(2.0)
 
 
 def binary_entropy(x: float) -> float:

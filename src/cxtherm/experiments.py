@@ -19,7 +19,7 @@ from .cxentropy import (
     cx_entropy,
     cx_relative_entropy,
 )
-from .entropies import binary_entropy, von_neumann
+from .entropies import LOG2, binary_entropy, von_neumann
 from .gates import (
     Circuit,
     GateSet,
@@ -40,8 +40,6 @@ from .registers import (
     state_from_vector,
 )
 from .sampling import haar_unitary, random_density_matrix, task_rng
-
-LOG2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------

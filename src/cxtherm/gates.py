@@ -13,12 +13,15 @@ product with the gates' rows stacked.  A `PlacedGate` binds one or more
 gates to one edge and runs them through the kernel in one call, so no gate
 is ever embedded in the full register.  `placed_alphabet` deduplicates
 placements on the gates' own qubits and holds one-gate `PlacedGate`s;
-`edge_layers` groups its letters by edge into one `PlacedGate` per edge.
+`edge_layers` groups its letters by edge into one `PlacedGate` per edge,
+which stacks its gates' tensors once.
 Circuit cost counts placed non-identity gates.
 
 A simple projector |0><0|_S (x) I is named by the int mask bits m of the
 qubit set S: qubit i is in S iff bit n-1-i of m is set, the bit that qubit i
-sets in a basis-state index.  So P_m accepts basis state b iff b & m == 0.
+sets in a basis-state index.  So P_m accepts basis state b iff b & m == 0
+(`mask_matrix`), and `unmasked` is the one decoder of m into the qubits P_m
+leaves free.  The mask tables are shared by every query and read-only.
 """
 
 from __future__ import annotations
@@ -340,16 +343,15 @@ def apply_local_vector(gate: Gate, edge: tuple[int, int], vec: np.ndarray) -> np
 class PlacedGate:
     """Gates bound to one ordered edge of an n-qubit register and applied
     together by the local kernel: each method returns one result per gate on
-    a leading axis.  The gates' tensors are stacked on first use, into
-    `tensors`, a dict that placed gates of the same gates may share; a lone
+    a leading axis.  The gates' tensors are stacked on first use; a lone
     gate keeps its own tensor and the kernel's single-gate path, so only the
     layers of `edge_layers` hold copies."""
 
-    def __init__(self, gates: Sequence[Gate], edge: tuple[int, int], n: int, tensors: dict | None = None):
+    def __init__(self, gates: Sequence[Gate], edge: tuple[int, int], n: int):
         self.gates = tuple(gates)
         self.edge = (int(edge[0]), int(edge[1]))
         self.n = n
-        self._tensors: dict[str, np.ndarray] = {} if tensors is None else tensors
+        self._tensors: dict[str, np.ndarray] = {}
 
     def _apply(self, name: str, x: np.ndarray, item_ndim: int) -> np.ndarray:
         """The gates' tensors `name` contracted with each item of x, its
@@ -448,21 +450,17 @@ _LAYERS = BoundedCache()
 def edge_layers(gate_set: GateSet, n: int) -> tuple[tuple[np.ndarray, PlacedGate], ...]:
     """The placed alphabet grouped by edge, in order of each edge's first
     letter: per edge, its letters' positions in the alphabet and one
-    `PlacedGate` holding their gates in that order.  Layers that hold the
-    same gates in the same order stack their tensors once, together.
-    Cached like the alphabet."""
+    `PlacedGate` holding their gates in that order.  Cached like the
+    alphabet."""
 
     def build():
         alphabet = placed_alphabet(gate_set, n)
         at: dict[tuple[int, int], list[int]] = {}
         for i, pg in enumerate(alphabet):
             at.setdefault(pg.edge, []).append(i)
-        stacks: dict[tuple[Gate, ...], dict] = {}
-        layers = []
-        for edge, ix in at.items():
-            gates = tuple(alphabet[i].gates[0] for i in ix)
-            layers.append((np.array(ix), PlacedGate(gates, edge, n, stacks.setdefault(gates, {}))))
-        return tuple(layers)
+        return tuple(
+            (np.array(ix), PlacedGate([alphabet[i].gates[0] for i in ix], edge, n)) for edge, ix in at.items()
+        )
 
     return _LAYERS.get((gate_set.content_key, n), build)
 
@@ -492,20 +490,29 @@ def apply_circuit(circuit: Circuit, rho: DensityOperator) -> DensityOperator:
     return DensityOperator._derived(rho.register, sigma, owned=sigma is not rho.matrix)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=16)
 def mask_matrix(n: int) -> np.ndarray:
     """Row m, column b: 1.0 iff basis state b is accepted by mask m, i.e.
     b & m == 0, so the mask traces of a state are mask_matrix(n) @ diag(sigma).
-    """
-    d = 2 ** n
-    b = np.arange(d)
-    return ((b[None, :] & b[:, None]) == 0).astype(float)
+    Read-only, as every query in the process shares it."""
+    b = np.arange(2 ** n)
+    return _read_only(((b[None, :] & b[:, None]) == 0).astype(float))
 
 
 @lru_cache(maxsize=16)
 def mask_traces_identity(n: int) -> np.ndarray:
-    """tr(P_m) for every mask m."""
-    return mask_matrix(n).sum(axis=1)
+    """tr(P_m) = 2^(qubits m leaves free) for every mask m; read-only."""
+    return _read_only(mask_matrix(n).sum(axis=1))
+
+
+def unmasked(n: int, bits: int) -> tuple[int, ...]:
+    """The qubits that the simple projector with these mask bits leaves free."""
+    return tuple(i for i in range(n) if not (bits >> (n - 1 - i)) & 1)
 
 
 def pullback_effect(circuit: Circuit, effect: int | PovmEffect) -> PovmEffect:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .cxentropy import cx_entropy
-from .entropies import hyp_entropy, hyp_relative_entropy, von_neumann
+from .entropies import LOG2, hyp_entropy, hyp_relative_entropy, von_neumann
 from .gates import default_gate_set, entangling_power, Z, I2
 from .registers import (
     DensityOperator,
@@ -27,8 +27,6 @@ from .registers import (
 from .reporting import fmt_value
 from .sampling import sample_density, sample_haar_unitary, task_rng
 from .thermo import ThermalModel, erasure_search
-
-LOG2 = math.log(2.0)
 
 
 def run_selftest(seed: int = 0, threads: int = 1) -> list[str]:

@@ -14,6 +14,9 @@ pair of tiles at a time.  With the caller's matrix, a gate step thus peaks
 at three 2^n x 2^n matrices plus 1 MiB blocks, a lone RESET or an EXTRACT
 at two and a quarter, and a longer run of RESETs at two and an eighth
 (768, 576 and 544 MiB at n = 12, where one matrix is 256 MiB).
+
+The qubits a simple projector leaves free come from `gates.unmasked`; the
+|0><0| that a RESET writes and an ancilla starts in is the read-only `KET0`.
 """
 
 from __future__ import annotations
@@ -21,18 +24,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .cxentropy import FEASIBILITY_SLACK, cx_entropy
+from .cxentropy import FEASIBILITY_SLACK, WITNESS_SLACK, cx_entropy
+from .entropies import LOG2
 from .errors import ProtocolError
 from .gates import (
     SWAP,
     BoundedCache,
     Gate,
     GateSet,
+    _read_only,
     apply_circuit,
     apply_local,
     channel_gate,
@@ -41,11 +45,12 @@ from .gates import (
     mask_matrix,
     mask_traces_identity,
     unitary_gate,
+    unmasked,
 )
 from .registers import DensityOperator, register
 from .search import minimize_over_effects
 
-LOG2 = math.log(2.0)
+KET0 = _read_only(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -196,14 +201,13 @@ def run_protocol(
     sigma = rho.matrix
     complexity = 0
     beta_work = 0.0
-    ket0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     for run in _runs(protocol.steps):
         step = run[0]
         if isinstance(step, (Reset, Extract)):
             for s in run:
                 if not 0 <= s.qubit < protocol.n:
                     raise ProtocolError(f"{s!r} acts outside the {protocol.n}-qubit register")
-            local, sign = ket0, 1.0
+            local, sign = KET0, 1.0
             if isinstance(step, Extract):
                 # the qubit's populations from the diagonal alone, an O(d) read
                 pops = sigma.diagonal().real.reshape(2 ** step.qubit, 2, -1).sum(axis=(0, 2))
@@ -306,11 +310,6 @@ def _check_gibbs(gate_set: GateSet, model: ThermalModel) -> bool:
 # optimal erasure
 
 
-def _unmasked(n: int, bits: int) -> tuple[int, ...]:
-    """The qubits that the simple projector with these mask bits leaves free."""
-    return tuple(i for i in range(n) if not (bits >> (n - 1 - i)) & 1)
-
-
 _RESET_WORK = BoundedCache()
 
 
@@ -318,17 +317,7 @@ def _reset_work(model: ThermalModel) -> np.ndarray:
     """The RESET work of every mask: a masked qubit is projected to |0>, and
     the RESET set is the rest.  Read-only, as it is shared per energies."""
     n = model.n
-    work = np.array([sum(model.reset_work(i) for i in _unmasked(n, m)) for m in range(2 ** n)], float)
-    work.flags.writeable = False
-    return work
-
-
-@lru_cache(maxsize=16)
-def _kept_counts(n: int) -> np.ndarray:
-    """|W|, the qubits each mask leaves free, as floats; read-only."""
-    kept = np.round(np.log2(mask_traces_identity(n)))
-    kept.flags.writeable = False
-    return kept
+    return _read_only(np.array([sum(model.reset_work(i) for i in unmasked(n, m)) for m in range(2 ** n)], float))
 
 
 @dataclass(frozen=True)
@@ -347,7 +336,9 @@ def erasure_search(
     eta: float,
 ) -> ErasureResult:
     """Minimal-work protocol of <= r computations followed by RESETs reaching
-    <0^n| rho' |0^n> >= eta.  Exhaustive over the finite gate set."""
+    <0^n| rho' |0^n> >= eta.  Exhaustive over the finite gate set.  The
+    protocol is replayed, and AssertionError is raised unless the replay
+    reaches eta within WITNESS_SLACK at the optimal work."""
     n = rho.n
     if model.n != n:
         raise ValueError("model size does not match the state")
@@ -364,13 +355,16 @@ def erasure_search(
     best = minimize_over_effects(gate_set, n, r, [rho.matrix], score)
     if not math.isfinite(best.value):
         raise ValueError("no protocol reaches the requested success probability")
-    reset_set = _unmasked(n, best.mask_bits)
+    reset_set = unmasked(n, best.mask_bits)
     steps: list[Step] = [GateStep(g, e) for g, e in best.circuit.ops]
     steps.extend(Reset(i) for i in reset_set)
     protocol = Protocol(n, tuple(steps))
     final, ledger = run_protocol(protocol, rho, model)
     success = float(final.matrix[0, 0].real)
-    assert abs(ledger.beta_work - best.value) < 1e-9
+    if success < eta - WITNESS_SLACK:
+        raise AssertionError(f"erasure protocol reaches <0^n|rho'|0^n> = {success!r} < eta = {eta!r}")
+    if abs(ledger.beta_work - best.value) > 1e-9:
+        raise AssertionError(f"erasure protocol costs {ledger.beta_work!r}, its optimum {best.value!r}")
     return ErasureResult(best.value, protocol, reset_set, success)
 
 
@@ -440,14 +434,20 @@ def lift_midcircuit(protocol: Protocol, model: ThermalModel, gate_set: GateSet) 
     return LiftedProtocol(lifted, new_model, m1, m2, protocol.n)
 
 
+def _with_ancillas(rho: DensityOperator, zeros: int, mixed: int) -> DensityOperator:
+    """rho (x) |0><0|^zeros (x) (I/2)^mixed, one ancilla at a time."""
+    sigma = rho.matrix
+    for local in [KET0] * zeros + [np.eye(2, dtype=complex) / 2.0] * mixed:
+        sigma = np.kron(sigma, local)
+    return DensityOperator._derived(register(rho.n + zeros + mixed), sigma, owned=sigma is not rho.matrix)
+
+
 def lifted_input(rho: DensityOperator, lift: LiftedProtocol) -> DensityOperator:
     """Executable input of the lifted protocol: every ancilla starts in |0>
     (the protocol's own leading EXTRACT steps thermalize the m2 ancillas)."""
-    sigma = rho.matrix
-    ket0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    for _ in range(lift.m1 + lift.m2):
-        sigma = np.kron(sigma, ket0)
-    return DensityOperator._derived(register(lift.protocol.n), sigma, owned=sigma is not rho.matrix)
+    if rho.n != lift.original_n:
+        raise ValueError("matrix dimension does not match register")
+    return _with_ancillas(rho, lift.m1 + lift.m2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +475,9 @@ def g_lower_bound(
     """min over m1, m2 <= m_max of H_H^{r+m1+m2, eta}(rho x |0^m1> x pi^m2)
     - m2 log 2; an upper bound on the untruncated infimum."""
     best = (math.inf, 0, 0)
-    ket0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     for m1 in range(m_max + 1):
         for m2 in range(m_max + 1):
-            sigma = rho.matrix
-            for _ in range(m1):
-                sigma = np.kron(sigma, ket0)
-            for _ in range(m2):
-                sigma = np.kron(sigma, np.eye(2, dtype=complex) / 2.0)
-            owned = sigma is not rho.matrix
-            tilde = DensityOperator._derived(register(rho.n + m1 + m2), sigma, owned=owned)
-            est = cx_entropy(tilde, gate_set, r + m1 + m2, eta, threads=threads)
+            est = cx_entropy(_with_ancillas(rho, m1, m2), gate_set, r + m1 + m2, eta, threads=threads)
             candidate = est.value - m2 * LOG2
             if candidate < best[0]:
                 best = (candidate, m1, m2)
@@ -511,24 +503,29 @@ def compression_search(
     eps: float,
 ) -> CompressionResult:
     """Least m such that some <= r-gate unitary compresses rho onto m qubits
-    with fidelity^2 >= 1 - eps; exhaustive, so exact."""
+    with fidelity^2 >= 1 - eps; exhaustive, so exact.  The circuit is
+    replayed, and AssertionError is raised unless the replay reaches
+    1 - eps within WITNESS_SLACK."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     if not gate_set.is_unitary_only:
         raise ValueError("compression is defined for unitary computations")
     n = rho.n
     target = 1.0 - eps - FEASIBILITY_SLACK
-    kept = _kept_counts(n)
+    # tr P_m = 2^(qubits kept) orders the masks as their kept counts do
+    sizes = mask_traces_identity(n)
 
     def score(traces, masks):
-        return np.where(traces[0] >= target, kept[masks], math.inf)
+        return np.where(traces[0] >= target, sizes[masks], math.inf)
 
     best = minimize_over_effects(gate_set, n, r, [rho.matrix], score)
     circuit = best.circuit
-    kept_qubits = _unmasked(n, best.mask_bits)
+    kept_qubits = unmasked(n, best.mask_bits)
     sigma = apply_circuit(circuit, rho).matrix
     success = float((mask_matrix(n)[best.mask_bits] * np.real(np.diag(sigma))).sum())
-    return CompressionResult(int(best.value), circuit, kept_qubits, success)
+    if success < 1.0 - eps - WITNESS_SLACK:
+        raise AssertionError(f"compression keeps {success!r} < 1 - eps = {1.0 - eps!r}")
+    return CompressionResult(len(kept_qubits), circuit, kept_qubits, success)
 
 
 # ---------------------------------------------------------------------------

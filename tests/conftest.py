@@ -49,11 +49,12 @@ def run_cli():
 
 @pytest.fixture(scope="session")
 def run_python():
-    """Run `python -c CODE` in CWD with CLI_ENV."""
+    """Run `python -c CODE` in CWD with CLI_ENV plus EXTRA_ENV."""
 
-    def run(code, cwd):
+    def run(code, cwd, **extra_env):
         return subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd, env=CLI_ENV,
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
+            env={**CLI_ENV, **extra_env},
         )
 
     return run

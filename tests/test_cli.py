@@ -11,7 +11,7 @@ from cxtherm.cli import dispatch, load_state, load_state_file, save_state_file
 from cxtherm.errors import ConfigError
 from cxtherm.experiments import decoupling_simulate
 from cxtherm.gates import I2, GateSet, Z, channel_gate, default_gate_set, format_gate_set
-from cxtherm.registers import ghz_state, maximally_mixed, zero_state
+from cxtherm.registers import DensityOperator, ghz_state, maximally_mixed, register, zero_state
 from cxtherm.reporting import config_hash, write_csv, write_json
 from cxtherm.sampling import sample_density, sample_pure_state
 
@@ -173,6 +173,15 @@ class TestDispatch:
         assert dispatch(["cx-entropy", "--state", "ghz2", "--r", "1"]) == 5
         err = capsys.readouterr().err
         assert "internal error" in err and "config error" not in err
+
+    def test_failed_compression_replay_exit_5(self, tmp_path, run_cli):
+        # a subnormalized state that no mask keeps to 1 - eps; the explicit
+        # check is kept under python -O
+        save_state_file(tmp_path / "half.state", DensityOperator(register(2), 0.5 * np.eye(4) / 4))
+        res = run_cli(["compress", "--n", "2", "--state", "half.state", "--epsilon", "0.1"], tmp_path,
+                      PYTHONOPTIMIZE="1")
+        assert res.returncode == 5
+        assert "internal error: AssertionError: compression keeps" in res.stderr
 
     def test_numerical_failure_exit_5(self, tmp_path, monkeypatch, capsys):
         # LinAlgError subclasses ValueError, which otherwise reads as a config error

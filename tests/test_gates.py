@@ -42,6 +42,7 @@ from cxtherm.gates import (
     pullback_local,
     format_gate_set,
     unitary_gate,
+    unmasked,
 )
 from cxtherm.registers import DensityOperator, ghz_state, register, state_from_vector, zero_state
 from cxtherm.sampling import haar_unitary, random_density_matrix, sample_haar_unitary, task_rng
@@ -177,27 +178,6 @@ class TestPlacedAlphabet:
         names = [(pg.gates[0].name, pg.edge) for pg in placed_alphabet(_parsed_factor_set(), 3)]
         assert names[:4] == [("minus_i", (0, 1)), ("dephase_a", (0, 1)), ("dephase_a", (1, 2)), ("cz", (0, 1))]
         assert "cz_signed" not in {name for name, _ in names}
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_layers_of_equal_gates_share_one_stack(self, n):
-        # at n = 3 the default set's layers (0, 1) and (1, 2) hold the same
-        # gates, at n = 4 its six layers three distinct tuples; the Gibbs
-        # set's thermal channels differ per edge
-        model = ThermalModel(tuple(task_rng(n).uniform(0.2, 2.0, n)))
-        sets = [default_gate_set(), default_gate_set("chain"), gibbs_preserving_gate_set(model)]
-        x = np.eye(2 ** n, dtype=complex)
-        for gate_set in sets:
-            layers = [layer for _, layer in edge_layers(gate_set, n)]
-            for layer in layers:
-                layer.apply_matrix(x)
-                layer.pullback(x)
-            for name in ("superoperator", "adjoint_superoperator"):
-                stacks = {layer.gates: layer._tensors[name] for layer in layers}
-                for layer in layers:
-                    assert layer._tensors[name] is stacks[layer.gates]
-                assert len({id(t) for t in stacks.values()}) == len(stacks)
-        distinct = {layer.gates for _, layer in edge_layers(default_gate_set(), n)}
-        assert len(distinct) == {3: 2, 4: 3}[n]
 
     def test_state_and_unitary_sets_build_no_embedding(self, monkeypatch):
         # a gate-set content no other test caches, so its 7-qubit alphabet is
@@ -798,6 +778,32 @@ class TestMaskMachinery:
         for n in (1, 2, 3):
             for bits in range(2 ** n):
                 assert np.array_equal(np.diag(mask_matrix(n)[bits]), simple_projector(n, bits))
+
+    def test_unmasked_equals_the_projector_oracle(self):
+        # qubit i is free iff P_m accepts the basis state with qubit i alone set
+        for n in range(1, 5):
+            for bits in range(2 ** n):
+                p = np.diag(simple_projector(n, bits))
+                free = tuple(i for i in range(n) if p[2 ** (n - 1 - i)] == 1)
+                assert unmasked(n, bits) == free
+                assert mask_traces_identity(n)[bits] == 2.0 ** len(free)
+
+    @pytest.mark.parametrize("table", [mask_matrix, mask_traces_identity])
+    def test_mask_tables_are_read_only(self, table, gate_set):
+        # every query shares the tables: a refused write leaves later queries' bits alone
+        rho = DensityOperator(register(3), random_density_matrix(8, 3, task_rng(5)))
+
+        def query():
+            est = cx_entropy(rho, gate_set, 1, 0.9)
+            return est.value.hex(), est.witness.matrix.tobytes(), est.witness.provenance[1]
+
+        before = query()
+        for n in (2, 3):
+            with pytest.raises(ValueError, match="read-only"):
+                table(n)[1] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                table(n).fill(0.0)
+        assert query() == before
 
     def test_simple_effects_closed_under_identity_tensor(self):
         # an unmasked qubit appended after the last one shifts the bits left

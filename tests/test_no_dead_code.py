@@ -9,6 +9,9 @@ module mentions `tensordot`, only `gates.py` holds the kernel's `_layout`
 and its block bound `BLOCK_ENTRIES` and reads a gate's superoperators, and
 no gate is embedded in the full register.  Rows of M_r have one form, defined in `search.py` alone, and the
 solvers' slacks on tr(Q rho) >= eta are named once, in `cxentropy.py`.
+Each fact has one owner: `LOG2 =` is assigned once, in `entropies.py`;
+only `gates.py` shifts mask bits (`>> (n - 1`), in `gates.unmasked`; and
+the |0><0| literal `[[1.0, 0.0], [0.0, 0.0]]` appears once, as `thermo.KET0`.
 """
 
 import ast
@@ -101,6 +104,27 @@ def test_one_rounding_rule():
     # rows and placed gates are deduplicated by gates._rounded alone
     users = sorted(p.name for p in PACKAGE.glob("*.py") if "MATRIX_HASH_DECIMALS" in p.read_text())
     assert users == ["gates.py"]
+
+
+def owners(needle: str) -> dict[str, int]:
+    """How often each package module holds `needle`, where it does."""
+    counts = {p.name: p.read_text().count(needle) for p in sorted(PACKAGE.glob("*.py"))}
+    return {name: count for name, count in counts.items() if count}
+
+
+def test_one_log2():
+    # log 2 is assigned in entropies.py and imported where it is used
+    assert owners("LOG2 =") == {"entropies.py": 1}
+
+
+def test_one_mask_decoder():
+    # gates.unmasked alone turns mask bits into qubits
+    assert owners(">> (n - 1") == {"gates.py": 1}
+
+
+def test_one_ket0():
+    # every |0><0| ancilla and RESET reads the one read-only thermo.KET0
+    assert owners("[[1.0, 0.0], [0.0, 0.0]]") == {"thermo.py": 1}
 
 
 def test_one_block_bound():

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import cxtherm.thermo as thermo_module
-from cxtherm.cxentropy import cx_entropy
+from cxtherm.cxentropy import WITNESS_SLACK, cx_entropy
 from cxtherm.errors import ProtocolError
 from cxtherm.gates import (
     CNOT,
     CZ,
     BoundedCache,
     GateSet,
+    apply_circuit,
     apply_local,
     channel_gate,
     edges,
@@ -31,6 +32,7 @@ from cxtherm.registers import (
 from cxtherm.sampling import random_density_matrix, task_rng
 from cxtherm.thermo import (
     AncillaBound,
+    CostLedger,
     Extract,
     GateStep,
     Protocol,
@@ -306,6 +308,17 @@ class TestRunProtocol:
             assert not np.shares_memory(out.matrix, rho.matrix)
         assert rho.matrix.tobytes() == before
 
+    def test_ket0_is_read_only(self):
+        # every RESET and |0> ancilla reads the one KET0: a refused write
+        # leaves later protocols' bits alone
+        rho, model = rand_state(2, 7), ThermalModel.degenerate(2)
+        proto = Protocol(2, (GateStep(CNOT_GATE, (0, 1)), Reset(0)))
+        before = run_protocol(proto, rho, model)[0].matrix.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            thermo_module.KET0[1, 1] = 1.0
+        assert np.array_equal(thermo_module.KET0, np.diag([1.0, 0.0]))
+        assert run_protocol(proto, rho, model)[0].matrix.tobytes() == before
+
     @pytest.mark.parametrize("n", [3, 9])
     def test_reset_writes_through_a_view_of_an_owned_buffer(self, monkeypatch, n):
         # a non-C-contiguous buffer would make reshape copy, and the write
@@ -402,6 +415,101 @@ class TestErasureSearch:
             assert table[m].hex() == float(want).hex()
         for res in results:
             assert res.beta_work == table[sum(1 << (2 - i) for i in range(3) if i not in res.reset_set)]
+
+
+class TestWitnessChecks:
+    # erasure_search and compression_search replay what they found and raise
+    # AssertionError, an explicit check that `python -O` keeps, when the
+    # replay falls short by more than the slack
+
+    @staticmethod
+    def lose(state, loss):
+        """The state with `loss` taken off <0^n|rho|0^n>."""
+        m = state.matrix.copy()
+        m[0, 0] -= loss
+        return DensityOperator._derived(state.register, m, owned=True)
+
+    def replay(self, monkeypatch, loss=0.0, extra_work=0.0):
+        """Make thermo's `run_protocol` and `apply_circuit` lose population,
+        and `run_protocol` add work."""
+        def protocol(*args):
+            final, ledger = run_protocol(*args)
+            return self.lose(final, loss), CostLedger(ledger.complexity, ledger.beta_work + extra_work)
+
+        monkeypatch.setattr(thermo_module, "run_protocol", protocol)
+        monkeypatch.setattr(thermo_module, "apply_circuit", lambda *args: self.lose(apply_circuit(*args), loss))
+
+    def test_erasure_refuses_a_replay_below_eta(self, gate_set, monkeypatch):
+        rho, model = rand_state(2, 23), ThermalModel.degenerate(2)
+        eta = erasure_search(rho, model, gate_set, 1, 0.8).success_probability
+        self.replay(monkeypatch, loss=0.5 * WITNESS_SLACK)
+        assert erasure_search(rho, model, gate_set, 1, eta).success_probability < eta
+        self.replay(monkeypatch, loss=2 * WITNESS_SLACK)
+        with pytest.raises(AssertionError, match="< eta"):
+            erasure_search(rho, model, gate_set, 1, eta)
+
+    def test_erasure_refuses_a_replay_off_the_optimal_work(self, gate_set, monkeypatch):
+        rho, model = rand_state(2, 23), ThermalModel.degenerate(2)
+        self.replay(monkeypatch, extra_work=0.5e-9)
+        erasure_search(rho, model, gate_set, 1, 0.8)
+        self.replay(monkeypatch, extra_work=2e-9)
+        with pytest.raises(AssertionError, match="its optimum"):
+            erasure_search(rho, model, gate_set, 1, 0.8)
+
+    def test_compression_refuses_a_replay_below_one_minus_eps(self, gate_set, monkeypatch):
+        rho = rand_state(3, 91)
+        eps = 1.0 - compression_search(rho, gate_set, 1, 0.3).success_probability
+        self.replay(monkeypatch, loss=0.5 * WITNESS_SLACK)
+        compression_search(rho, gate_set, 1, eps)
+        self.replay(monkeypatch, loss=2 * WITNESS_SLACK)
+        with pytest.raises(AssertionError, match="compression keeps"):
+            compression_search(rho, gate_set, 1, eps)
+
+    def test_compression_of_a_subnormalized_state_is_refused(self, gate_set):
+        # no mask keeps tr(rho) = 0.5 >= 1 - eps; this raised OverflowError
+        # from int(inf) before
+        rho = DensityOperator(register(2), 0.5 * rand_state(2, 99).matrix)
+        with pytest.raises(AssertionError, match="compression keeps"):
+            compression_search(rho, gate_set, 1, 0.1)
+
+    def test_checks_survive_python_O(self, run_python, tmp_path):
+        code = ("import sys\n"
+                "import cxtherm.thermo as t\n"
+                "from cxtherm import DensityOperator, default_gate_set, maximally_mixed, register\n"
+                "print(sys.flags.optimize)\n"
+                "run, gs = t.run_protocol, default_gate_set()\n"
+                "t.run_protocol = lambda p, rho, m: (rho, run(p, rho, m)[1])\n"
+                "half = DensityOperator(register(2), 0.5 * maximally_mixed(2).matrix)\n"
+                "for call in (lambda: t.erasure_search(maximally_mixed(2), t.ThermalModel.degenerate(2), gs, 1, 0.9),\n"
+                "             lambda: t.compression_search(half, gs, 1, 0.1)):\n"
+                "    try:\n"
+                "        call()\n"
+                "    except Exception as exc:\n"
+                "        print(type(exc).__name__)\n")
+        res = run_python(code, tmp_path, PYTHONOPTIMIZE="1")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["1", "AssertionError", "AssertionError"]
+
+
+class TestAncillas:
+    @pytest.mark.parametrize("zeros, mixed", [(0, 0), (1, 0), (0, 2), (2, 1)])
+    def test_ancillas_follow_the_state_in_kron_order(self, zeros, mixed):
+        rho = rand_state(2, 31)
+        before = rho.matrix.tobytes()
+        want = rho.matrix
+        for local in [np.diag([1.0, 0.0])] * zeros + [np.eye(2) / 2.0] * mixed:
+            want = np.kron(want, local)
+        got = thermo_module._with_ancillas(rho, zeros, mixed)
+        assert got.n == 2 + zeros + mixed
+        assert np.array_equal(got.matrix, want)
+        assert rho.matrix.tobytes() == before
+
+    def test_lifted_input_refuses_a_state_of_another_size(self, gate_set):
+        proto = Protocol(2, (Reset(0), GateStep(CNOT_GATE, (0, 1))))
+        lift = lift_midcircuit(proto, ThermalModel.degenerate(2), gate_set)
+        assert lifted_input(rand_state(2, 3), lift).n == 3
+        with pytest.raises(ValueError, match="does not match"):
+            lifted_input(rand_state(3, 3), lift)
 
 
 class TestProductHamiltonian:
