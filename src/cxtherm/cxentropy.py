@@ -22,7 +22,6 @@ from .gates import (
 from .registers import DensityOperator, HermitianOperator, PovmEffect, _fitted, partial_trace
 from .search import minimize_over_effects
 
-FEASIBILITY_SLACK = 1e-12
 WITNESS_SLACK = 1e-10
 
 
@@ -91,22 +90,19 @@ def _enumeration_estimate(
     reduced: bool,
 ) -> EntropyEstimate:
     n = rho.n
-    eta_eff = eta - FEASIBILITY_SLACK
     mats = [rho.matrix] if scalar is not None else [rho.matrix, gamma]
     id_traces = mask_traces_identity(n)
 
     def score(traces, masks):
-        rho_tr = traces[0]
         if scalar is not None:
             # 0 <= Q <= I and a density operator give tr(Q rho) <= tr Q exactly,
             # so the ratio takes the smaller and rounding cannot push it below c
-            gamma_tr, accept = scalar * id_traces[masks], np.minimum(rho_tr, id_traces[masks])
+            gamma_tr, accept = scalar * id_traces[masks], np.minimum(traces[0], id_traces[masks])
         else:
-            gamma_tr, accept = traces[1], rho_tr
-        raw = gamma_tr if reduced else gamma_tr / np.maximum(accept, 1e-300)
-        return np.where(rho_tr >= eta_eff, raw, math.inf)
+            gamma_tr, accept = traces[1], traces[0]
+        return gamma_tr if reduced else gamma_tr / np.maximum(accept, 1e-300)
 
-    best = minimize_over_effects(gate_set, n, r, mats, score)
+    best = minimize_over_effects(gate_set, n, r, mats, score, eta=eta)
     witness = pullback_effect(best.circuit, best.mask_bits)
     _verify_witness(witness, rho, eta)
     value = math.inf if best.value <= 0.0 else -math.log(best.value)
@@ -267,10 +263,7 @@ def success_probability(
         ok = np.abs(np.log2(np.maximum(q_tr, 1e-300)) - w) <= 1e-9
         return np.where(ok, -traces[0], math.inf)
 
-    best = minimize_over_effects(gate_set, n, r, mats, score)
-    if not math.isfinite(best.value):
-        raise ValueError("empty candidate class at the requested size")
-    return -best.value
+    return -minimize_over_effects(gate_set, n, r, mats, score).value
 
 
 def distinguishability_beta(

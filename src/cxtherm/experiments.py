@@ -336,6 +336,9 @@ def ising_quench(
         raise ValueError("times must hold at least one time point")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("times must be strictly increasing")
+    for name, field in (("coupling", coupling), ("transverse", transverse)):
+        if not math.isfinite(field):
+            raise ValueError(f"{name} must be finite, got {field!r}")
     bond = ising_bond(coupling, transverse)
     ham = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for i in range(n):
@@ -457,6 +460,8 @@ def decoupling_simulate(
         raise ValueError(f"k must lie in [0, n_a = {n_a}], got {k}")
     if not 0 <= r0 <= r1:
         raise ValueError(f"r0 must lie in [0, r1 = {r1}] (the referee's budget), got {r0}")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     if not gate_set.is_unitary_only:
         raise ValueError("decoupling is defined for unitary computations")
     labels = rho_ar.register.labels

@@ -26,11 +26,12 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from .cxentropy import FEASIBILITY_SLACK, WITNESS_SLACK
+from .cxentropy import WITNESS_SLACK
 from .gates import _contract, edges, mask_matrix
 from .parallel import deterministic_map
 from .registers import partial_trace_matrix
 from .sampling import task_rng
+from .search import FEASIBILITY_SLACK
 
 PENALTY_STAGES = (1e2, 1e3, 1e4, 1e5)
 

@@ -12,12 +12,14 @@ states (`approx_state_complexity`: |0^n>, psi -> U psi with its global phase
 fixed).  `least_level` finds the first level holding a row with a given
 property.  `CXTHERM_BUDGET` caps every query, see `check_budget`.
 
-Every exact solver minimizes a score over M_r, the effects
+Every exact solver minimizes a caller's cost over M_r, the effects
 Q = E_1^dag ... E_k^dag(P) that k <= r placed gates pull back from a simple
-projector P.  Effects are keyed on Q alone for unitary gate sets, where every
-mask-dependent score in this package (tr P, the RESET work) is fixed by Q,
-and on (Q, mask) for channel sets, so that a score may read the mask freely
-there.  One effect set is cached per (gate-set content, n).
+projector P, subject to tr(Q rho) >= eta - FEASIBILITY_SLACK; a query that
+no candidate meets raises ValueError.  Effects are keyed on Q alone for
+unitary gate sets, where every mask-dependent score in this package (tr P,
+the RESET work) is fixed by Q, and on (Q, mask) for channel sets, so that a
+score may read the mask freely there.  One effect set is cached per
+(gate-set content, n).
 
 A query at r splits off the first gate, tr(E^dag(Q) X) = tr(Q E(X)): the
 stack of operators X is pushed through the identity and each placed gate,
@@ -62,6 +64,8 @@ QUERY_ROWS = 256
 DEFAULT_BUDGET = 10 ** 7
 # relative gap below which two candidates' scores tie
 TIE = 1e-12
+# slack on the acceptance constraint tr(Q rho) >= eta that rounding may take
+FEASIBILITY_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -333,17 +337,21 @@ def minimize_over_effects(
     r: int,
     operators: Sequence[np.ndarray],
     score_fn: ScoreFn,
+    *,
+    eta: float | None = None,
 ) -> BestCandidate:
-    """Minimize score_fn over M_r.
+    """Minimize score_fn over M_r, subject to tr(Q X_0) >= eta if eta is set.
 
     `score_fn(traces, masks)` is called on blocks of at most QUERY_ROWS rows
     of M_{r-1}.  It receives one array per input operator X holding tr(Q X)
     for every candidate Q of the block, shaped (rows, first gates), and the
     candidates' masks shaped (rows, 1).  It returns the scores, finite or
-    np.inf for an infeasible candidate, broadcastable to that shape.  The
-    first candidate within a relative TIE of a block's least score stands
-    for the block, and a later block replaces it only when lower by more
-    than that.
+    np.inf for an infeasible candidate, broadcastable to that shape.  With
+    eta, a candidate with tr(Q X_0) < eta - FEASIBILITY_SLACK, X_0 the first
+    operator, scores np.inf too.  When no candidate scores finite, ValueError
+    names r and any eta.  The first candidate within a relative TIE of a
+    block's least score stands for the block, and a later block replaces it
+    only when lower by more than that.
     """
     if r < 0:
         raise ValueError(f"r must be at least 0, got {r}")
@@ -365,11 +373,16 @@ def minimize_over_effects(
     for lo in range(0, len(rows), QUERY_ROWS):
         traces = [rows[lo : lo + QUERY_ROWS] @ im for im in images]
         scores = np.broadcast_to(score_fn(traces, masks[lo : lo + QUERY_ROWS, None]), traces[0].shape)
+        if eta is not None:
+            scores = np.where(traces[0] >= eta - FEASIBILITY_SLACK, scores, math.inf)
         low = float(scores.min())
         if low < bar:
             i = int(np.argmax(scores <= low + TIE * abs(low)))
             best_value, best = float(scores.flat[i]), lo * width + i
             bar = best_value - TIE * abs(best_value)
+    if not math.isfinite(best_value):
+        floor = "" if eta is None else f" with tr(Q rho) >= {eta!r}"
+        raise ValueError(f"no effect in M_{r} is feasible{floor}")
     row, g = divmod(best, width)
     circuit = effects.circuit(row, g - 1 if g else None)
     return BestCandidate(best_value, circuit, int(masks[row]), len(rows), len(rows) * width, not built)

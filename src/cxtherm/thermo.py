@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cxentropy import FEASIBILITY_SLACK, WITNESS_SLACK, cx_entropy
+from .cxentropy import WITNESS_SLACK, cx_entropy
 from .entropies import LOG2
 from .errors import ProtocolError
 from .gates import (
@@ -336,9 +336,9 @@ def erasure_search(
     eta: float,
 ) -> ErasureResult:
     """Minimal-work protocol of <= r computations followed by RESETs reaching
-    <0^n| rho' |0^n> >= eta.  Exhaustive over the finite gate set.  The
-    protocol is replayed, and AssertionError is raised unless the replay
-    reaches eta within WITNESS_SLACK at the optimal work."""
+    <0^n| rho' |0^n> >= eta, exhaustive over the finite gate set; ValueError
+    when none does.  The protocol is replayed, and AssertionError is raised
+    unless the replay reaches eta within WITNESS_SLACK at the optimal work."""
     n = rho.n
     if model.n != n:
         raise ValueError("model size does not match the state")
@@ -347,14 +347,7 @@ def erasure_search(
     validate_gibbs_gate_set(gate_set, model)
 
     work = _RESET_WORK.get(model.energies, lambda: _reset_work(model))
-    eta_eff = eta - FEASIBILITY_SLACK
-
-    def score(traces, masks):
-        return np.where(traces[0] >= eta_eff, work[masks], math.inf)
-
-    best = minimize_over_effects(gate_set, n, r, [rho.matrix], score)
-    if not math.isfinite(best.value):
-        raise ValueError("no protocol reaches the requested success probability")
+    best = minimize_over_effects(gate_set, n, r, [rho.matrix], lambda traces, masks: work[masks], eta=eta)
     reset_set = unmasked(n, best.mask_bits)
     steps: list[Step] = [GateStep(g, e) for g, e in best.circuit.ops]
     steps.extend(Reset(i) for i in reset_set)
@@ -503,29 +496,23 @@ def compression_search(
     eps: float,
 ) -> CompressionResult:
     """Least m such that some <= r-gate unitary compresses rho onto m qubits
-    with fidelity^2 >= 1 - eps; exhaustive, so exact.  The circuit is
-    replayed, and AssertionError is raised unless the replay reaches
-    1 - eps within WITNESS_SLACK."""
+    with fidelity^2 >= 1 - eps; exhaustive, so exact; ValueError when none
+    does.  The circuit is replayed, and AssertionError is raised unless the
+    replay reaches 1 - eps within WITNESS_SLACK."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     if not gate_set.is_unitary_only:
         raise ValueError("compression is defined for unitary computations")
     n = rho.n
-    target = 1.0 - eps - FEASIBILITY_SLACK
     # tr P_m = 2^(qubits kept) orders the masks as their kept counts do
     sizes = mask_traces_identity(n)
-
-    def score(traces, masks):
-        return np.where(traces[0] >= target, sizes[masks], math.inf)
-
-    best = minimize_over_effects(gate_set, n, r, [rho.matrix], score)
-    circuit = best.circuit
+    best = minimize_over_effects(gate_set, n, r, [rho.matrix], lambda traces, masks: sizes[masks], eta=1.0 - eps)
     kept_qubits = unmasked(n, best.mask_bits)
-    sigma = apply_circuit(circuit, rho).matrix
+    sigma = apply_circuit(best.circuit, rho).matrix
     success = float((mask_matrix(n)[best.mask_bits] * np.real(np.diag(sigma))).sum())
     if success < 1.0 - eps - WITNESS_SLACK:
         raise AssertionError(f"compression keeps {success!r} < 1 - eps = {1.0 - eps!r}")
-    return CompressionResult(len(kept_qubits), circuit, kept_qubits, success)
+    return CompressionResult(len(kept_qubits), best.circuit, kept_qubits, success)
 
 
 # ---------------------------------------------------------------------------

@@ -174,14 +174,40 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "internal error" in err and "config error" not in err
 
-    def test_failed_compression_replay_exit_5(self, tmp_path, run_cli):
-        # a subnormalized state that no mask keeps to 1 - eps; the explicit
-        # check is kept under python -O
+    @pytest.mark.parametrize("args", [
+        ["compress", "--n", "2", "--state", "half.state", "--epsilon", "0.1"],
+        ["erasure", "--n", "2", "--state", "half.state", "--eta", "0.9"],
+    ], ids=["compress", "erasure"])
+    def test_infeasible_query_exit_2(self, args, tmp_path, monkeypatch, capsys):
+        # a subnormalized state that no mask keeps to 1 - eps or eta is the
+        # caller's config, not an internal failure
+        monkeypatch.chdir(tmp_path)
         save_state_file(tmp_path / "half.state", DensityOperator(register(2), 0.5 * np.eye(4) / 4))
-        res = run_cli(["compress", "--n", "2", "--state", "half.state", "--epsilon", "0.1"], tmp_path,
-                      PYTHONOPTIMIZE="1")
-        assert res.returncode == 5
-        assert "internal error: AssertionError: compression keeps" in res.stderr
+        assert dispatch(args) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: no effect in M_1 is feasible with tr(Q rho) >= 0.9\n"
+
+    def test_failed_compression_replay_exit_5(self, tmp_path, monkeypatch, capsys):
+        # a replay that loses half the population fails its explicit check
+        apply = cli.thermo.apply_circuit
+        monkeypatch.setattr(cli.thermo, "apply_circuit",
+                            lambda c, rho: DensityOperator(register(2), 0.5 * apply(c, rho).matrix))
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["compress", "--n", "2", "--state", "zero", "--epsilon", "0.1"]) == 5
+        assert "internal error: AssertionError: compression keeps 0.5 < 1 - eps = 0.9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, name", [
+        *((["decouple", f"--delta={v}"], "delta") for v in ("nan", "inf", "-inf", "0", "5")),
+        *((["quench", "--n", "4", f"--{name}={v}"], name)
+          for name in ("coupling", "transverse") for v in ("nan", "inf", "-inf")),
+    ])
+    def test_non_finite_or_out_of_range_float_exit_2(self, args, name, tmp_path, monkeypatch, capsys):
+        # every real coupling and field is in range, so only delta has an
+        # out-of-range finite value
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"{name} must" in err
 
     def test_numerical_failure_exit_5(self, tmp_path, monkeypatch, capsys):
         # LinAlgError subclasses ValueError, which otherwise reads as a config error

@@ -7,11 +7,13 @@ definition; a non-dunder method counts as used when some file reads it as
 finds the uses.  The package also keeps one local gate contraction: no
 module mentions `tensordot`, only `gates.py` holds the kernel's `_layout`
 and its block bound `BLOCK_ENTRIES` and reads a gate's superoperators, and
-no gate is embedded in the full register.  Rows of M_r have one form, defined in `search.py` alone, and the
-solvers' slacks on tr(Q rho) >= eta are named once, in `cxentropy.py`.
-Each fact has one owner: `LOG2 =` is assigned once, in `entropies.py`;
-only `gates.py` shifts mask bits (`>> (n - 1`), in `gates.unmasked`; and
-the |0><0| literal `[[1.0, 0.0], [0.0, 0.0]]` appears once, as `thermo.KET0`.
+no gate is embedded in the full register.  Rows of M_r have one form,
+defined in `search.py` alone.  Each fact has one owner: `LOG2 =` is
+assigned once, in `entropies.py`; `FEASIBILITY_SLACK =` once, in
+`search.py`, and only the effect engine there and the heuristic's M_0 scan
+subtract it from eta; only `gates.py` shifts mask bits (`>> (n - 1`), in
+`gates.unmasked`; and the |0><0| literal `[[1.0, 0.0], [0.0, 0.0]]`
+appears once, as `thermo.KET0`.
 """
 
 import ast
@@ -117,6 +119,14 @@ def test_one_log2():
     assert owners("LOG2 =") == {"entropies.py": 1}
 
 
+def test_one_feasibility_rule():
+    # the effect engine owns tr(Q rho) >= eta - FEASIBILITY_SLACK for every
+    # exact query; the heuristic applies it to its own M_0 scan
+    assert owners("FEASIBILITY_SLACK =") == {"search.py": 1}
+    subtracting = [p.name for p in PACKAGE.glob("*.py") if re.search(r"-\s*FEASIBILITY_SLACK", p.read_text())]
+    assert set(subtracting) <= {"search.py", "heuristic.py"}
+
+
 def test_one_mask_decoder():
     # gates.unmasked alone turns mask bits into qubits
     assert owners(">> (n - 1") == {"gates.py": 1}
@@ -157,7 +167,8 @@ def test_one_row_form():
 
 
 def test_one_slack_per_name():
-    # FEASIBILITY_SLACK and WITNESS_SLACK in cxentropy.py name every slack on eta
+    # FEASIBILITY_SLACK in search.py and WITNESS_SLACK in cxentropy.py name
+    # every slack on eta
     users = sorted(p.name for p in PACKAGE.glob("*.py") if "eta - 1e-1" in p.read_text())
     assert set(users) <= {"cxentropy.py"}
 

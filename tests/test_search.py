@@ -363,8 +363,36 @@ def test_infeasible_blocks_before_the_first_feasible_one():
 
 
 def test_no_feasible_candidate_scores_inf():
-    best, _ = tie_query(lambda rows, gates: np.full(np.broadcast_shapes(rows.shape, gates.shape), math.inf))
-    assert best.value == math.inf
+    # a query that no candidate meets is refused with an error naming r
+    with pytest.raises(ValueError, match=r"^no effect in M_3 is feasible$"):
+        tie_query(lambda rows, gates: np.full(np.broadcast_shapes(rows.shape, gates.shape), math.inf))
+
+
+@pytest.mark.parametrize("gate_set", [DEFAULT, GIBBS, SWAP_DEPHASE], ids=["default", "gibbs", "channel"])
+@pytest.mark.parametrize("eta", [0.3, 0.7, 1.0])
+def test_eta_masks_exactly_the_candidates_below_the_floor(gate_set, eta):
+    # the engine's constraint picks the same candidate, bit for bit, as a
+    # score that sets inf itself below eta - SLACK; its error names r and eta
+    rho = rand_state(2, 840)
+    ops = [rho.matrix, rand_state(2, 841).matrix]
+
+    def cost(traces, masks):
+        return traces[1]
+
+    def masked(traces, masks):
+        return np.where(traces[0] >= eta - SLACK, traces[1], math.inf)
+
+    for r in (0, 1, 2):
+        want = minimize_over_effects(gate_set, 2, r, ops, masked)
+        got = minimize_over_effects(gate_set, 2, r, ops, cost, eta=eta)
+        assert (got.value, got.circuit, got.mask_bits) == (want.value, want.circuit, want.mask_bits)
+    with pytest.raises(ValueError, match=r"^no effect in M_2 is feasible with tr\(Q rho\) >= 1\.5$"):
+        minimize_over_effects(gate_set, 2, 2, ops, cost, eta=1.5)
+
+
+def test_eta_is_keyword_only():
+    with pytest.raises(TypeError):
+        minimize_over_effects(DEFAULT, 2, 1, [np.eye(4)], lambda traces, masks: traces[0], 0.5)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
