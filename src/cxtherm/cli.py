@@ -13,7 +13,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -60,54 +60,18 @@ _COMMON = {
     "r1": (int, 2, "referee's gate budget"),
 }
 
-_SUBCOMMANDS = {
-    "entropy": ["n", "state", "eta", "seed", "output", "units"],
-    "cx-entropy": ["n", "state", "gate_set", "connectivity", "r", "eta", "seed",
-                   "threads", "output", "units", "reduced"],
-    "erasure": ["n", "state", "gate_set", "connectivity", "r", "eta", "seed",
-                "threads", "output", "units"],
-    "compress": ["n", "state", "gate_set", "connectivity", "r", "epsilon", "seed",
-                 "threads", "output", "units"],
-    "transition": ["n", "gate_set", "connectivity", "r", "eta", "seed", "samples",
-                   "threads", "output", "units", "depths"],
-    "entangle": ["n", "seed", "samples", "threads", "output", "units"],
-    "quench": ["n", "coupling", "transverse", "times", "seed", "output", "units"],
-    "decouple": ["n", "state", "gate_set", "r0", "r1", "k", "eta", "delta", "seed",
-                 "threads", "output", "units"],
-    "probe-conjecture": ["gate_set", "r", "eta", "seed", "samples", "threads",
-                         "output", "units"],
-    "selftest": ["seed", "threads", "output"],
-}
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    values: dict
-
-    def __getattr__(self, name):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def as_meta(self) -> dict:
-        # threads and output location never change computed values, so the
-        # replay hash ignores them
-        cfg = {"subcommand": self.subcommand, **self.values}
-        cfg.pop("threads", None)
-        cfg.pop("output", None)
-        return {
-            "units": self.values.get("units", "nats"),
-            "seed": self.values.get("seed", 0),
-            "config_hash": config_hash(cfg),
-        }
+def _meta(cfg: argparse.Namespace) -> dict:
+    # threads and output location never change computed values, so the
+    # replay hash ignores them
+    values = {k: v for k, v in vars(cfg).items() if k not in ("threads", "output")}
+    return {"units": getattr(cfg, "units", "nats"), "seed": cfg.seed, "config_hash": config_hash(values)}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cxtherm")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, fields in _SUBCOMMANDS.items():
+    for name, (_, fields) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
         for f in fields:
@@ -121,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(ns: argparse.Namespace) -> RunConfig:
-    fields = _SUBCOMMANDS[ns.subcommand]
+def load_config(ns: argparse.Namespace) -> argparse.Namespace:
+    _, fields = _SUBCOMMANDS[ns.subcommand]
     file_values = {}
     if ns.config is not None:
         try:
@@ -147,7 +111,7 @@ def load_config(ns: argparse.Namespace) -> RunConfig:
             values[f] = default
     if values.get("units") not in (None, "nats", "bits"):
         raise ConfigError("units must be 'nats' or 'bits'")
-    return RunConfig(ns.subcommand, values)
+    return argparse.Namespace(subcommand=ns.subcommand, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +190,13 @@ def save_state_file(path: str | Path, rho: DensityOperator) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _gate_set(cfg: RunConfig) -> GateSet:
+def _gate_set(cfg: argparse.Namespace) -> GateSet:
     if cfg.gate_set:
         try:
             return parse_gate_set(Path(cfg.gate_set).read_text())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load gate set: {exc}") from exc
-    return default_gate_set(cfg.values.get("connectivity", "all-to-all"))
+    return default_gate_set(getattr(cfg, "connectivity", "all-to-all"))
 
 
 # entropy and work columns: handlers build rows in nats, `_in_units` converts
@@ -243,14 +207,14 @@ _NAT_COLUMNS = frozenset({
 })
 
 
-def _in_units(cfg: RunConfig, rows: list[dict]) -> list[dict]:
+def _in_units(cfg: argparse.Namespace, rows: list[dict]) -> list[dict]:
     if cfg.units != "bits":
         return rows
     scale = 1.0 / LOG2
     return [{k: v * scale if k in _NAT_COLUMNS else v for k, v in row.items()} for row in rows]
 
 
-def _emit(cfg: RunConfig, rows: list[dict]) -> None:
+def _emit(cfg: argparse.Namespace, rows: list[dict]) -> None:
     """Write the table to --output; experiments default to <subcommand>-<seed>.csv."""
     out = cfg.output
     if out is None and cfg.subcommand in (
@@ -258,7 +222,7 @@ def _emit(cfg: RunConfig, rows: list[dict]) -> None:
     ):
         out = f"{cfg.subcommand}-{cfg.seed}.csv"
     if out:
-        emit(rows, cfg.as_meta(), out)
+        emit(rows, _meta(cfg), out)
         print(f"wrote {out}")
 
 
@@ -266,7 +230,7 @@ def _emit(cfg: RunConfig, rows: list[dict]) -> None:
 # subcommands
 
 
-def _cmd_entropy(cfg: RunConfig) -> int:
+def _cmd_entropy(cfg: argparse.Namespace) -> int:
     rho = load_state(cfg.state, cfg.n, cfg.seed)
     res = hyp_entropy(rho, cfg.eta)
     [row] = _in_units(cfg, [{
@@ -277,7 +241,7 @@ def _cmd_entropy(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_cx_entropy(cfg: RunConfig) -> int:
+def _cmd_cx_entropy(cfg: argparse.Namespace) -> int:
     rho = load_state(cfg.state, cfg.n, cfg.seed)
     est = cx_entropy(rho, _gate_set(cfg), cfg.r, cfg.eta, reduced=cfg.reduced, threads=cfg.threads)
     [row] = _in_units(cfg, [{
@@ -289,7 +253,7 @@ def _cmd_cx_entropy(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_erasure(cfg: RunConfig) -> int:
+def _cmd_erasure(cfg: argparse.Namespace) -> int:
     rho = load_state(cfg.state, cfg.n, cfg.seed)
     model = thermo.ThermalModel.degenerate(rho.n)
     res = thermo.erasure_search(rho, model, _gate_set(cfg), cfg.r, cfg.eta)
@@ -305,7 +269,7 @@ def _cmd_erasure(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_compress(cfg: RunConfig) -> int:
+def _cmd_compress(cfg: argparse.Namespace) -> int:
     rho = load_state(cfg.state, cfg.n, cfg.seed)
     res = thermo.compression_search(rho, _gate_set(cfg), cfg.r, cfg.epsilon)
     print(f"m_opt = {res.m} qubits (success {canonical_value(res.success_probability)})")
@@ -317,7 +281,7 @@ def _cmd_compress(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_transition(cfg: RunConfig) -> int:
+def _cmd_transition(cfg: argparse.Namespace) -> int:
     gs = _gate_set(cfg)
     depths = [int(x) for x in str(cfg.depths).split(",") if x != ""]
     scan = experiments.transition_scan(
@@ -331,7 +295,7 @@ def _cmd_transition(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_entangle(cfg: RunConfig) -> int:
+def _cmd_entangle(cfg: argparse.Namespace) -> int:
     rep = experiments.continuity_trial(cfg.n, cfg.samples, cfg.seed, threads=cfg.threads)
     [row] = _in_units(cfg, [asdict(rep)])
     print(f"max |dE| = {canonical_value(row['max_abs_delta'])} {cfg.units}; "
@@ -340,7 +304,7 @@ def _cmd_entangle(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_quench(cfg: RunConfig) -> int:
+def _cmd_quench(cfg: argparse.Namespace) -> int:
     usage = f"--times must be start:stop:count, finite numbers and an integer count >= 0, got {cfg.times!r}"
     try:
         start, stop, count = str(cfg.times).split(":")
@@ -362,7 +326,7 @@ def _cmd_quench(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_decouple(cfg: RunConfig) -> int:
+def _cmd_decouple(cfg: argparse.Namespace) -> int:
     gs = _gate_set(cfg)
     rho = load_state(cfg.state, cfg.n, cfg.seed)
     # the last qubit of the loaded state is the reference
@@ -384,7 +348,7 @@ def _cmd_decouple(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_probe_conjecture(cfg: RunConfig) -> int:
+def _cmd_probe_conjecture(cfg: argparse.Namespace) -> int:
     res = experiments.decoupling_probe(
         (1, 1, 1), _gate_set(cfg), cfg.r, cfg.eta, cfg.samples, cfg.seed, threads=cfg.threads
     )
@@ -400,7 +364,7 @@ def _cmd_probe_conjecture(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_selftest(cfg: RunConfig) -> int:
+def _cmd_selftest(cfg: argparse.Namespace) -> int:
     report = run_selftest(seed=cfg.seed, threads=cfg.threads)
     text = "\n".join(report) + "\n"
     sys.stdout.write(text)
@@ -409,17 +373,24 @@ def _cmd_selftest(cfg: RunConfig) -> int:
     return 0 if all(line.startswith("ok ") for line in report) else 1
 
 
-_HANDLERS = {
-    "entropy": _cmd_entropy,
-    "cx-entropy": _cmd_cx_entropy,
-    "erasure": _cmd_erasure,
-    "compress": _cmd_compress,
-    "transition": _cmd_transition,
-    "entangle": _cmd_entangle,
-    "quench": _cmd_quench,
-    "decouple": _cmd_decouple,
-    "probe-conjecture": _cmd_probe_conjecture,
-    "selftest": _cmd_selftest,
+# each subcommand's handler and the fields it reads
+_SUBCOMMANDS = {
+    "entropy": (_cmd_entropy, ["n", "state", "eta", "seed", "output", "units"]),
+    "cx-entropy": (_cmd_cx_entropy, ["n", "state", "gate_set", "connectivity", "r", "eta", "seed",
+                                     "threads", "output", "units", "reduced"]),
+    "erasure": (_cmd_erasure, ["n", "state", "gate_set", "connectivity", "r", "eta", "seed",
+                               "threads", "output", "units"]),
+    "compress": (_cmd_compress, ["n", "state", "gate_set", "connectivity", "r", "epsilon", "seed",
+                                 "threads", "output", "units"]),
+    "transition": (_cmd_transition, ["n", "gate_set", "connectivity", "r", "eta", "seed", "samples",
+                                     "threads", "output", "units", "depths"]),
+    "entangle": (_cmd_entangle, ["n", "seed", "samples", "threads", "output", "units"]),
+    "quench": (_cmd_quench, ["n", "coupling", "transverse", "times", "seed", "output", "units"]),
+    "decouple": (_cmd_decouple, ["n", "state", "gate_set", "r0", "r1", "k", "eta", "delta", "seed",
+                                 "threads", "output", "units"]),
+    "probe-conjecture": (_cmd_probe_conjecture, ["gate_set", "r", "eta", "seed", "samples", "threads",
+                                                 "output", "units"]),
+    "selftest": (_cmd_selftest, ["seed", "threads", "output"]),
 }
 
 
@@ -431,7 +402,7 @@ def dispatch(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = load_config(ns)
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _SUBCOMMANDS[cfg.subcommand][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

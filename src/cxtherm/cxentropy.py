@@ -19,8 +19,10 @@ from .gates import (
     mask_traces_identity,
     pullback_effect,
 )
-from .registers import DensityOperator, HermitianOperator, PovmEffect, _fitted, partial_trace
-from .search import minimize_over_effects
+from .registers import (
+    DensityOperator, HermitianOperator, PovmEffect, _check_same_register, _fitted, partial_trace,
+)
+from .search import check_r, minimize_over_effects
 
 WITNESS_SLACK = 1e-10
 
@@ -116,11 +118,6 @@ def _enumeration_estimate(
     return EntropyEstimate(value, "exact", witness, solver)
 
 
-def _check_r(r: int) -> None:
-    if r < 0:
-        raise ValueError("complexity budget r must be >= 0")
-
-
 def _relative_entropy(
     rho: DensityOperator,
     gamma: np.ndarray,
@@ -183,7 +180,7 @@ def cx_relative_entropy(
     `threads` parallelizes the heuristic's restarts; enumeration runs in the
     calling thread.
     """
-    _check_r(r)
+    check_r(r)
     check_test_args(rho, gamma, eta)
     return _relative_entropy(
         rho, gamma.matrix, gate_set, r, eta,
@@ -207,8 +204,8 @@ def cx_entropy(
 
     I is positive-semidefinite and on rho's register by construction, so
     only r and eta are checked."""
-    _check_r(r)
-    check_eta(rho, eta)
+    check_r(r)
+    check_eta(rho.trace(), eta)
     est = _relative_entropy(
         rho, np.eye(rho.dim, dtype=complex), gate_set, r, eta, identity=True,
         reduced=reduced, threads=threads, seed=seed, restarts=restarts, iterations=iterations,
@@ -228,6 +225,8 @@ def conditional_cx_entropy(
 
     I_A x rho_B is derived from a checked state, so it is hermitized as the
     public constructor stores it but its spectrum is not re-checked."""
+    check_r(spec.r)
+    check_eta(rho.trace(), spec.eta)
     labels = set(spec.part_a) | set(spec.part_b)
     if not labels <= set(rho.register.labels):
         raise ValueError("partition labels missing from register")
@@ -235,8 +234,6 @@ def conditional_cx_entropy(
     rho_b = partial_trace(rho_ab, spec.part_b)
     positions = [rho_ab.register.index_of(lbl) for lbl in rho_b.register.labels]
     gamma = _fitted(rho_ab.register, expand_operator(rho_b.matrix, rho_ab.n, positions), owned=True)
-    _check_r(spec.r)
-    check_eta(rho_ab, spec.eta)
     est = _relative_entropy(rho_ab, gamma, gate_set, spec.r, spec.eta, threads=threads)
     certainty = {"exact": "exact", "lower_bound": "upper_bound"}[est.certainty]
     return EntropyEstimate(-est.value, certainty, est.witness, est.solver)
@@ -250,6 +247,8 @@ def success_probability(
 ) -> float:
     """Best acceptance probability over effects in M_r with log2 tr(Q) pinned
     to floor(m / log 2)."""
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m!r}")
     n = rho.n
     w = math.floor(m / LOG2 + 1e-12)
     if not 0 <= w <= n:
@@ -273,8 +272,7 @@ def distinguishability_beta(
     r: int,
 ) -> float:
     """beta^r(rho, sigma) = max over M_r of |tr(Q (rho - sigma))|."""
-    if rho.register.labels != sigma.register.labels:
-        raise ValueError("states must share a register")
+    _check_same_register(rho, sigma)
 
     def score(traces, masks):
         return -np.abs(traces[0])
@@ -297,8 +295,8 @@ def hypothesis_test_witness(
 
     Such a test exists iff D_H^{r,eta}(rho || sigma) >= -log(delta/eta).
     """
-    if not (0.0 < eta <= 1.0 and 0.0 < delta <= 1.0):
-        raise ValueError("eta and delta must lie in (0, 1]")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     est = cx_relative_entropy(rho, sigma, gate_set, r, eta, threads=threads)
     threshold = -math.log(delta / eta)
     if est.value < threshold - 1e-12:

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .registers import (
+    EIGENVALUE_FLOOR,
     DensityOperator,
     HermitianOperator,
     PovmEffect,
+    _check_same_register,
     partial_trace,
 )
 
@@ -219,18 +221,19 @@ def _neyman_pearson(rho: np.ndarray, gamma: np.ndarray, eta: float):
     return beta_primal, beta_dual, q, mu
 
 
-def check_eta(rho: DensityOperator, eta: float) -> None:
-    if not 0.0 < eta <= rho.trace() + 1e-12:
-        raise ValueError(f"eta must lie in (0, tr(rho)] = (0, {rho.trace():.12g}]")
+def check_eta(trace: float, eta: float, name: str = "eta") -> None:
+    """The one rule on an acceptance floor: no effect 0 <= Q <= I accepts
+    more than tr(rho) = `trace`.  `name` labels the message only."""
+    if not 0.0 < eta <= trace + 1e-12:
+        raise ValueError(f"{name} must lie in (0, tr(rho)] = (0, {trace:.12g}], got {eta!r}")
 
 
 def check_test_args(rho: DensityOperator, gamma: HermitianOperator, eta: float) -> None:
     """What every hypothesis test of rho against Gamma at acceptance eta
     needs: one register, eta in (0, tr rho], Gamma positive-semidefinite."""
-    if rho.register.labels != gamma.register.labels:
-        raise ValueError("state and reference must share a register")
-    check_eta(rho, eta)
-    if np.linalg.eigvalsh(gamma.matrix).min() < -1e-10:
+    _check_same_register(rho, gamma)
+    check_eta(rho.trace(), eta)
+    if np.linalg.eigvalsh(gamma.matrix).min() < EIGENVALUE_FLOOR:
         raise ValueError("reference operator must be positive-semidefinite")
 
 
@@ -257,7 +260,7 @@ def hyp_relative_entropy(
 def hyp_entropy(rho: DensityOperator, eta: float) -> HypTestResult:
     """H_hyp^eta(rho) = -D_H^eta(rho || I).  I is positive-semidefinite and
     on rho's register by construction, so only eta is checked."""
-    check_eta(rho, eta)
+    check_eta(rho.trace(), eta)
     res = _hyp_test(rho, np.eye(rho.dim, dtype=complex), eta)
     return HypTestResult(
         -res.value, res.optimal_effect, res.mu_star, -res.primal_value, -res.dual_value

@@ -19,7 +19,7 @@ from .cxentropy import (
     cx_entropy,
     cx_relative_entropy,
 )
-from .entropies import LOG2, binary_entropy, von_neumann
+from .entropies import LOG2, binary_entropy, check_eta, von_neumann
 from .gates import (
     Circuit,
     GateSet,
@@ -40,6 +40,7 @@ from .registers import (
     state_from_vector,
 )
 from .sampling import haar_unitary, random_density_matrix, task_rng
+from .search import check_r
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +144,8 @@ def transition_scan(
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not depths:
         raise ValueError("depths must hold at least one depth")
+    check_r(r)
+    check_eta(1.0, eta)
     rows = []
     for depth in depths:
         gate_count = sum(len(layer) for layer in brickwork_layers(n, depth))
@@ -400,6 +403,8 @@ def decoupling_probe(
     as a candidate counterexample."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    check_r(r)
+    check_eta(1.0, eta)
     na, nb, nr = dims
     n = na + nb + nr
 
@@ -462,6 +467,7 @@ def decoupling_simulate(
         raise ValueError(f"r0 must lie in [0, r1 = {r1}] (the referee's budget), got {r0}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
+    check_eta(rho_ar.trace(), eta)
     if not gate_set.is_unitary_only:
         raise ValueError("decoupling is defined for unitary computations")
     labels = rho_ar.register.labels

@@ -83,6 +83,12 @@ class BestCandidate:
         return self.candidates
 
 
+def check_r(r: int) -> None:
+    """The one rule on a query's gate budget, checked before any work."""
+    if not r >= 0:
+        raise ValueError(f"r must be at least 0, got {r!r}")
+
+
 def circuit_count(alphabet_size: int, r: int) -> int:
     return sum(alphabet_size ** k for k in range(r + 1))
 
@@ -250,10 +256,7 @@ def enumerate_effects(gate_set: GateSet, r: int, n: int) -> Iterator[PovmEffect]
     channel gate sets); this affects only the number of items yielded, never
     the set realized.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if gate_set.kind != "finite":
-        raise ValueError("exact enumeration requires a finite gate set")
+    check_r(r)
     effects = effect_set(gate_set, n)
     check_budget(len(effects.alphabet), r)
     rows, masks, _ = effects.upto(r)
@@ -277,9 +280,9 @@ def circuit_complexity(gate_set: GateSet, target: np.ndarray, r_max: int) -> int
     target = np.asarray(target, dtype=complex)
     d = target.shape[0]
     n = int(round(math.log2(d)))
-    alphabet = placed_alphabet(gate_set, n)
-    if not all(pg.gates[0].is_unitary for pg in alphabet):
+    if not gate_set.is_unitary_only:
         raise ValueError("circuit complexity is defined for unitary gate sets")
+    alphabet = placed_alphabet(gate_set, n)
 
     # a row holds V^T, whose rows are the images V|b> of the basis states
     def left_multiply(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
@@ -307,9 +310,9 @@ def approx_state_complexity(
         target = target / np.linalg.norm(target)
     d = target.size
     n = int(round(math.log2(d)))
-    alphabet = placed_alphabet(gate_set, n)
-    if not all(pg.gates[0].is_unitary for pg in alphabet):
+    if not gate_set.is_unitary_only:
         raise ValueError("state complexity is defined for unitary gate sets")
+    alphabet = placed_alphabet(gate_set, n)
 
     def prepare(pg: PlacedGate, rows: np.ndarray) -> np.ndarray:
         # the global phase is fixed by making the first nonzero amplitude real
@@ -353,8 +356,7 @@ def minimize_over_effects(
     block's least score stands for the block, and a later block replaces it
     only when lower by more than that.
     """
-    if r < 0:
-        raise ValueError(f"r must be at least 0, got {r}")
+    check_r(r)
     effects = effect_set(gate_set, n)
     check_budget(len(effects.alphabet), r)
     rows, masks, built = effects.upto(max(r - 1, 0))

@@ -7,16 +7,19 @@ non-identity gate costs one unit of complexity and no work.
 
 `run_protocol` applies a gate step with the local kernel, which holds the
 previous matrix and its output.  A run of RESETs, or an EXTRACT, overwrites
-a matrix the protocol owns in one pass, after tracing its qubits out: one
-qubit into a quarter-size buffer, two or more into two sixteenth-size ones
-and then smaller ones; the result is hermitized in place, above 256 rows a
-pair of tiles at a time.  With the caller's matrix, a gate step thus peaks
-at three 2^n x 2^n matrices plus 1 MiB blocks, a lone RESET or an EXTRACT
-at two and a quarter, and a longer run of RESETs at two and an eighth
-(768, 576 and 544 MiB at n = 12, where one matrix is 256 MiB).
+a matrix the protocol owns in one pass, after tracing its qubits out with
+`registers._trace_out`: one qubit into a quarter-size buffer, two or more
+into two sixteenth-size ones and then smaller ones; the result is
+hermitized in place, above 256 rows a pair of tiles at a time.  With the
+caller's matrix, a gate step thus peaks at three 2^n x 2^n matrices plus
+1 MiB blocks, a lone RESET or an EXTRACT at two and a quarter, and a longer
+run of RESETs at two and an eighth (768, 576 and 544 MiB at n = 12, where
+one matrix is 256 MiB).
 
 The qubits a simple projector leaves free come from `gates.unmasked`; the
 |0><0| that a RESET writes and an ancilla starts in is the read-only `KET0`.
+The searches check eta, or 1 - eps, against tr(rho) with
+`entropies.check_eta` before any effect set is built.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .cxentropy import WITNESS_SLACK, cx_entropy
-from .entropies import LOG2
+from .entropies import LOG2, check_eta
 from .errors import ProtocolError
 from .gates import (
     SWAP,
@@ -47,8 +50,8 @@ from .gates import (
     unitary_gate,
     unmasked,
 )
-from .registers import DensityOperator, register
-from .search import minimize_over_effects
+from .registers import DensityOperator, _trace_out, register
+from .search import check_r, minimize_over_effects
 
 KET0 = _read_only(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
 
@@ -60,8 +63,8 @@ class ThermalModel:
     energies: tuple[float, ...]
 
     def __post_init__(self):
-        if any(e < 0.0 for e in self.energies):
-            raise ValueError("excited-state energies must be >= 0")
+        if not all(e >= 0.0 for e in self.energies):
+            raise ValueError(f"energies must be >= 0, got {self.energies!r}")
 
     @classmethod
     def degenerate(cls, n: int) -> "ThermalModel":
@@ -133,43 +136,14 @@ EXTRACT_FIDELITY_TOL = 1e-9
 def _replace_qubits(sigma: np.ndarray, n: int, qubits: Sequence[int], local: np.ndarray) -> None:
     """Overwrite sigma, a C-contiguous 2^n x 2^n matrix, with what replacing
     the qubits one at a time in this order leaves: local on the last,
-    |0><0| on the others, (x) the partial trace over all of them.
-
-    The qubits are traced out in order, a repeated one once, each trace
-    into a quarter of the last; the first two go straight into
-    sixteenth-size buffers, with the sums of one trace after the other.
-    Then sigma is written once: local (x) the trace where the other qubits
-    are in |0><0|, and +0.0 elsewhere, which is also what one replacement
-    at a time leaves there: a trace sums from +0.0."""
-    traced = list(dict.fromkeys(qubits))
-    reduced, left, rest = sigma, list(range(n)), traced
-    if len(traced) > 1:
-        a, b = traced[:2]
-        t = sigma.reshape((2,) * (2 * n))
-
-        def part(x, y):
-            at = [slice(None)] * (2 * n)
-            at[a], at[n + a], at[b], at[n + b] = x, x, y, y
-            return t[tuple(at)]
-
-        # the first trace at b = y is (0 + s_0y) + s_1y, never -0.0, so the
-        # second trace's leading 0 + would leave it as it is
-        reduced = 0.0 + part(0, 0)
-        reduced += part(1, 0)
-        ones = 0.0 + part(0, 1)
-        ones += part(1, 1)
-        reduced += ones
-        del ones
-        left = [q for q in left if q not in (a, b)]
-        rest = traced[2:]
-    for q in rest:
-        i, k = left.index(q), len(left)
-        v = reduced.reshape((2 ** i, 2, 2 ** (k - 1 - i)) * 2)
-        # summed from +0.0 as np.trace does: -0.0 + -0.0 alone would keep the sign
-        reduced = 0.0 + v[:, 0, :, :, 0, :]
-        reduced += v[:, 1, :, :, 1, :]
-        left.remove(q)
-    last, others = qubits[-1], set(traced) - {qubits[-1]}
+    |0><0| on the others, (x) the partial trace over all of them, taken by
+    `registers._trace_out` in this order.  Then sigma is written once:
+    local (x) the trace where the other qubits are in |0><0|, and +0.0
+    elsewhere, which is also what one replacement at a time leaves there:
+    a trace sums from +0.0."""
+    reduced = _trace_out(sigma, n, qubits)
+    left = [q for q in range(n) if q not in qubits]
+    last, others = qubits[-1], set(qubits) - {qubits[-1]}
     if others:
         sigma.fill(0.0)
     at = tuple(0 if ax % n in others else slice(None) for ax in range(2 * n))
@@ -342,8 +316,8 @@ def erasure_search(
     n = rho.n
     if model.n != n:
         raise ValueError("model size does not match the state")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
+    check_r(r)
+    check_eta(rho.trace(), eta)
     validate_gibbs_gate_set(gate_set, model)
 
     work = _RESET_WORK.get(model.energies, lambda: _reset_work(model))
@@ -467,6 +441,10 @@ def g_lower_bound(
 ) -> AncillaBound:
     """min over m1, m2 <= m_max of H_H^{r+m1+m2, eta}(rho x |0^m1> x pi^m2)
     - m2 log 2; an upper bound on the untruncated infimum."""
+    if not m_max >= 0:
+        raise ValueError(f"m_max must be at least 0, got {m_max!r}")
+    check_r(r)
+    check_eta(rho.trace(), eta)
     best = (math.inf, 0, 0)
     for m1 in range(m_max + 1):
         for m2 in range(m_max + 1):
@@ -500,7 +478,8 @@ def compression_search(
     does.  The circuit is replayed, and AssertionError is raised unless the
     replay reaches 1 - eps within WITNESS_SLACK."""
     if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
+        raise ValueError(f"eps must lie in [0, 1), got {eps!r}")
+    check_eta(rho.trace(), 1.0 - eps, "1 - eps")
     if not gate_set.is_unitary_only:
         raise ValueError("compression is defined for unitary computations")
     n = rho.n

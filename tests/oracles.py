@@ -22,7 +22,7 @@ from cxtherm.gates import (
     placed_alphabet,
 )
 from cxtherm.heuristic import su4_generators
-from cxtherm.registers import PovmEffect, partial_trace_matrix, register
+from cxtherm.registers import PovmEffect, register
 
 
 def simple_projector(n, bits):
@@ -210,13 +210,25 @@ def dense_pullback(kraus_full, effect):
     return functools.reduce(np.add, (k.conj().T @ effect @ k for k in kraus_full))
 
 
+def trace_loop(matrix, n, kept_idx):
+    """Partial trace keeping the given qubit positions, one np.trace over a
+    traced qubit's row and column axes at a time, in ascending order."""
+    traced = [i for i in range(n) if i not in set(kept_idx)]
+    t = matrix.reshape((2,) * (2 * n))
+    for off, ax in enumerate(traced):
+        k = n - off  # qubits remaining in the tensor
+        t = np.trace(t, axis1=ax - off, axis2=ax - off + k)
+    dk = 2 ** len(kept_idx)
+    return np.ascontiguousarray(t.reshape(dk, dk))
+
+
 def kron_replace_qubit(sigma, n, i, local):
     """local (x) tr_i(sigma) with the local factor on qubit i, built as a
     Kronecker product and permuted into place by `expand_operator`."""
     if n == 1:
         return local * float(np.trace(sigma).real)
     keep = [k for k in range(n) if k != i]
-    reduced = partial_trace_matrix(sigma, n, keep)
+    reduced = trace_loop(sigma, n, keep)
     return expand_operator(np.kron(local, reduced), n, [i] + keep)
 
 

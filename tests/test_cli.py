@@ -174,18 +174,19 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "internal error" in err and "config error" not in err
 
-    @pytest.mark.parametrize("args", [
-        ["compress", "--n", "2", "--state", "half.state", "--epsilon", "0.1"],
-        ["erasure", "--n", "2", "--state", "half.state", "--eta", "0.9"],
+    @pytest.mark.parametrize("args, name", [
+        (["compress", "--n", "2", "--state", "half.state", "--epsilon", "0.1"], "1 - eps"),
+        (["erasure", "--n", "2", "--state", "half.state", "--eta", "0.9"], "eta"),
     ], ids=["compress", "erasure"])
-    def test_infeasible_query_exit_2(self, args, tmp_path, monkeypatch, capsys):
-        # a subnormalized state that no mask keeps to 1 - eps or eta is the
-        # caller's config, not an internal failure
+    def test_infeasible_query_exit_2(self, args, name, tmp_path, monkeypatch, capsys):
+        # a subnormalized state that no effect accepts with 1 - eps or eta is
+        # the caller's config, not an internal failure, and is refused by the
+        # one acceptance rule before M_r is built
         monkeypatch.chdir(tmp_path)
         save_state_file(tmp_path / "half.state", DensityOperator(register(2), 0.5 * np.eye(4) / 4))
         assert dispatch(args) == 2
         err = capsys.readouterr().err
-        assert err == "config error: no effect in M_1 is feasible with tr(Q rho) >= 0.9\n"
+        assert err == f"config error: {name} must lie in (0, tr(rho)] = (0, 0.5], got 0.9\n"
 
     def test_failed_compression_replay_exit_5(self, tmp_path, monkeypatch, capsys):
         # a replay that loses half the population fails its explicit check
@@ -200,10 +201,16 @@ class TestDispatch:
         *((["decouple", f"--delta={v}"], "delta") for v in ("nan", "inf", "-inf", "0", "5")),
         *((["quench", "--n", "4", f"--{name}={v}"], name)
           for name in ("coupling", "transverse") for v in ("nan", "inf", "-inf")),
+        *(([cmd, f"--eta={v}"], "eta")
+          for cmd in ("entropy", "cx-entropy", "erasure", "transition", "decouple", "probe-conjecture")
+          for v in ("nan", "inf", "-inf", "0", "5")),
+        *((["compress", f"--epsilon={v}"], "eps") for v in ("nan", "inf", "-inf", "1", "-0.5")),
+        *(([cmd, "--r=-1"], "r")
+          for cmd in ("cx-entropy", "erasure", "compress", "transition", "probe-conjecture")),
     ])
     def test_non_finite_or_out_of_range_float_exit_2(self, args, name, tmp_path, monkeypatch, capsys):
-        # every real coupling and field is in range, so only delta has an
-        # out-of-range finite value
+        # every real coupling and field is in range, so they have no
+        # out-of-range finite value; eta, epsilon and r do
         monkeypatch.chdir(tmp_path)
         assert dispatch(args) == 2
         err = capsys.readouterr().err

@@ -172,7 +172,7 @@ class TestRelativeEntropy:
     def test_negative_budget(self, gate_set):
         rho = rand_state(2, 3)
         gamma = HermitianOperator(register(2), np.eye(4))
-        with pytest.raises(ValueError, match="r must be >= 0"):
+        with pytest.raises(ValueError, match="r must be at least 0, got -1"):
             cx_relative_entropy(rho, gamma, gate_set, -1, 0.9)
 
 
@@ -602,7 +602,7 @@ class TestIdentityReference:
 
     def test_eta_and_budget_still_checked(self, gate_set):
         rho = rand_state(2, 7)
-        with pytest.raises(ValueError, match="complexity budget"):
+        with pytest.raises(ValueError, match="r must be at least 0, got -1"):
             cx_entropy(rho, gate_set, -1, 0.9)
         for eta in (0.0, 1.5):
             with pytest.raises(ValueError, match="eta must lie"):

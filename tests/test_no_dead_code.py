@@ -12,8 +12,11 @@ defined in `search.py` alone.  Each fact has one owner: `LOG2 =` is
 assigned once, in `entropies.py`; `FEASIBILITY_SLACK =` once, in
 `search.py`, and only the effect engine there and the heuristic's M_0 scan
 subtract it from eta; only `gates.py` shifts mask bits (`>> (n - 1`), in
-`gates.unmasked`; and the |0><0| literal `[[1.0, 0.0], [0.0, 0.0]]`
-appears once, as `thermo.KET0`.
+`gates.unmasked`; the |0><0| literal `[[1.0, 0.0], [0.0, 0.0]]`
+appears once, as `thermo.KET0`; the rule on r is stated once, in
+`search.check_r`, and the rule on eta once, in `entropies.check_eta`; only
+`registers.py` compares two operators' registers; and only `registers.py`
+sums a partial trace.
 """
 
 import ast
@@ -125,6 +128,20 @@ def test_one_feasibility_rule():
     assert owners("FEASIBILITY_SLACK =") == {"search.py": 1}
     subtracting = [p.name for p in PACKAGE.glob("*.py") if re.search(r"-\s*FEASIBILITY_SLACK", p.read_text())]
     assert set(subtracting) <= {"search.py", "heuristic.py"}
+
+
+def test_one_rule_per_argument():
+    # every entry point calls search.check_r and entropies.check_eta, and
+    # registers._check_same_register, instead of restating them
+    assert owners("r must be at least 0") == {"search.py": 1}
+    assert owners("must lie in (0, tr(rho)]") == {"entropies.py": 1}
+    assert owners("register.labels !=") == {"registers.py": 1}
+
+
+def test_one_partial_trace():
+    # registers._trace_out sums every partial trace, RESET runs' included
+    assert owners("axis1") == {}
+    assert owners("[:, 1, :, :, 1, :]") == {"registers.py": 1}
 
 
 def test_one_mask_decoder():

@@ -8,6 +8,7 @@ the same sets, and every exact solver must agree with a scan of the oracle's
 """
 
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -15,12 +16,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from cxtherm import cxentropy, experiments, search, thermo
 from cxtherm.cxentropy import (
     ConditionalSpec,
     conditional_cx_entropy,
     cx_entropy,
     cx_relative_entropy,
     distinguishability_beta,
+    hypothesis_test_witness,
     success_probability,
 )
 from cxtherm.errors import BudgetExceededError
@@ -49,7 +52,19 @@ from cxtherm.search import (
     pack,
     unpack,
 )
-from cxtherm.thermo import ThermalModel, compression_search, erasure_search, gibbs_preserving_gate_set
+from cxtherm.experiments import (
+    decoupling_probe,
+    decoupling_simulate,
+    entanglement_bound_check,
+    transition_scan,
+)
+from cxtherm.thermo import (
+    ThermalModel,
+    compression_search,
+    erasure_search,
+    g_lower_bound,
+    gibbs_preserving_gate_set,
+)
 
 from oracles import (
     dense_pullback,
@@ -303,6 +318,75 @@ def test_budget_is_checked_before_any_level_is_built(entry, monkeypatch):
 def test_negative_r_is_rejected(query):
     with pytest.raises(ValueError, match="r must be at least 0, got -1"):
         query(rand_state(2, 804))
+
+
+# a subnormalized state, tr = 0.5, so that eta = 0.9 passes every older
+# "eta <= 1" rule and only the acceptance rule eta <= tr(rho) refuses it
+HALF = DensityOperator(register(3), 0.5 * random_density_matrix(8, 3, task_rng(805)))
+# each entry point as a call on (r, eta), with the argument names its r and
+# eta rules report and the eta above tr(rho) that it must refuse; None marks
+# an entry point that takes no eta
+REFUSING = {
+    "minimize_over_effects": (lambda r, eta: minimize_over_effects(
+        DEFAULT, 3, r, [HALF.matrix], lambda traces, masks: traces[0]), "r", None, None),
+    "enumerate_effects": (lambda r, eta: list(enumerate_effects(DEFAULT, r, 3)), "r", None, None),
+    "distinguishability_beta": (lambda r, eta: distinguishability_beta(
+        HALF, rand_state(3, 806), DEFAULT, r), "r", None, None),
+    "success_probability": (lambda r, eta: success_probability(HALF, DEFAULT, r, 0.0), "r", None, None),
+    "cx_entropy": (lambda r, eta: cx_entropy(HALF, DEFAULT, r, eta), "r", "eta", 0.9),
+    "cx_relative_entropy": (lambda r, eta: cx_relative_entropy(
+        HALF, HermitianOperator(register(3), 0.7 * np.eye(8)), DEFAULT, r, eta), "r", "eta", 0.9),
+    "conditional_cx_entropy": (lambda r, eta: conditional_cx_entropy(
+        HALF, ConditionalSpec(("q0",), ("q1",), r, eta), DEFAULT), "r", "eta", 0.9),
+    "hypothesis_test_witness": (lambda r, eta: hypothesis_test_witness(
+        HALF, rand_state(3, 806), DEFAULT, r, eta, 0.25), "r", "eta", 0.9),
+    "erasure_search": (lambda r, eta: erasure_search(
+        HALF, ThermalModel.degenerate(3), DEFAULT, r, eta), "r", "eta", 0.9),
+    "compression_search": (lambda r, eta: compression_search(HALF, DEFAULT, r, 1.0 - eta), "r", "eps", 0.9),
+    "g_lower_bound": (lambda r, eta: g_lower_bound(HALF, DEFAULT, r, eta, 1), "r", "eta", 0.9),
+    "entanglement_bound_check": (lambda r, eta: entanglement_bound_check(
+        HALF, default_gate_set("chain"), r, eta), "r", "eta", 0.9),
+    "decoupling_simulate": (lambda r, eta: decoupling_simulate(
+        HALF, 2, DEFAULT, r, 2, 1, eta, 0.25, 0), "r0", "eta", 0.9),
+    "decoupling_probe": (lambda r, eta: decoupling_probe((1, 1, 1), DEFAULT, r, eta, 1, 0), "r", "eta", 1.5),
+    **{f"transition_scan-{source}": (lambda r, eta, source=source: transition_scan(
+        3, [2], r, eta, DEFAULT, 1, 0, source=source), "r", "eta", 1.5) for source in ("finite", "haar_su4")},
+}
+
+
+def refused_cases():
+    for entry, (call, r_name, eta_name, over) in REFUSING.items():
+        yield pytest.param(call, -1, 0.4, r_name, id=f"{entry}-r")
+        if eta_name is not None:
+            yield pytest.param(call, 1, math.nan, eta_name, id=f"{entry}-nan")
+            yield pytest.param(call, 1, over, "1 - eps" if eta_name == "eps" else eta_name, id=f"{entry}-over")
+
+
+@pytest.mark.parametrize("call, r, eta, name", refused_cases())
+def test_bad_arguments_are_refused_before_any_work(call, r, eta, name, monkeypatch):
+    # no effect set, alphabet, partial trace or circuit may be touched before
+    # the argument's one rule refuses it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work began before the arguments were checked")
+
+    for module, attr in [(search, "effect_set"), (search, "placed_alphabet"), (experiments, "placed_alphabet"),
+                         (cxentropy, "partial_trace"), (experiments, "partial_trace"),
+                         (experiments, "apply_circuit"), (experiments, "apply_local_vector"),
+                         (thermo, "validate_gibbs_gate_set"), (thermo, "_with_ancillas")]:
+        monkeypatch.setattr(module, attr, forbidden)
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must"):
+        call(r, eta)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: ThermalModel((0.5, math.nan)), "energies"),
+    (lambda: g_lower_bound(HALF, DEFAULT, 1, 0.4, -1), "m_max"),
+    (lambda: success_probability(HALF, DEFAULT, 1, math.inf), "m"),
+    (lambda: success_probability(HALF, DEFAULT, 1, math.nan), "m"),
+], ids=["nan-energy", "negative-m_max", "inf-m", "nan-m"])
+def test_non_finite_or_negative_arguments_name_the_argument(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        call()
 
 
 @pytest.mark.parametrize("n, r", [(2, 2), (4, 3)])  # M_2 on 4 qubits is scored in several blocks

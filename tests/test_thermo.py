@@ -466,10 +466,10 @@ class TestWitnessChecks:
             compression_search(rho, gate_set, 1, eps)
 
     def test_compression_of_a_subnormalized_state_is_refused(self, gate_set):
-        # no mask keeps tr(rho) = 0.5 >= 1 - eps, so the query is infeasible
-        # and nothing is replayed
+        # no effect accepts more than tr(rho) = 0.5 < 1 - eps, so the query is
+        # refused before M_r is built and nothing is replayed
         rho = DensityOperator(register(2), 0.5 * rand_state(2, 99).matrix)
-        with pytest.raises(ValueError, match=r"no effect in M_1 is feasible with tr\(Q rho\) >= 0\.9$"):
+        with pytest.raises(ValueError, match=r"^1 - eps must lie in \(0, tr\(rho\)\] = \(0, 0\.5\], got 0\.9$"):
             compression_search(rho, gate_set, 1, 0.1)
 
     def test_checks_survive_python_O(self, run_python, tmp_path):
